@@ -4,8 +4,8 @@ The shuffle order moves upward by inserting y-letters or deleting
 x-letters; the bubble order additionally allows swapping an adjacent
 ``x y`` pair into ``y x``.  Covers in the bubble order are generated
 constructively (per-letter right indels and transpositions) rather than by
-transitive reduction; joins come from the y-filling formula and meets from
-duality.
+transitive reduction.  Both orders, joins (the y-filling formula) and meets
+(its dual) run on the bitmask code of ``ShuffleWord.code``.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from .posets import FinitePoset
 from .words import (
     Letter,
     ShuffleWord,
-    SupportProfile,
+    _insert_y,
+    _place,
     count_shuffle,
-    dualize,
     enumerate_shuffle,
-    restriction,
-    word_from_profile,
-    y_fill,
 )
 
 DEFAULT_CAP = 50_000
@@ -32,20 +29,26 @@ DEFAULT_CAP = 50_000
 
 def leq_shuffle(u: ShuffleWord, v: ShuffleWord) -> bool:
     """Shuffle order: x's may only disappear, y's only appear, rest agrees."""
-    if not set(v.xsupport) <= set(u.xsupport):
+    ux, uy, urows, _ = u.code
+    vx, vy, vrows, _ = v.code
+    if vx & ~ux or uy & ~vy:
         return False
-    if not set(u.ysupport) <= set(v.ysupport):
-        return False
-    return restriction(u, v).letters == restriction(v, u).letters
+    for t in u.ysupport:
+        if urows[t] & vx != vrows[t]:
+            return False
+    return True
 
 
 def leq_bubble(u: ShuffleWord, v: ShuffleWord) -> bool:
     """Bubble order: like the shuffle order but inversions may also grow."""
-    if not set(v.xsupport) <= set(u.xsupport):
+    ux, uy, urows, _ = u.code
+    vx, vy, vrows, _ = v.code
+    if vx & ~ux or uy & ~vy:
         return False
-    if not set(u.ysupport) <= set(v.ysupport):
-        return False
-    return restriction(u, v).inversions <= restriction(v, u).inversions
+    for t in u.ysupport:
+        if urows[t] & vx & ~vrows[t]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -87,20 +90,10 @@ def upper_covers(u: ShuffleWord) -> list[tuple[ShuffleWord, CoverStep]]:
                     CoverStep("transposition", s=letter.index, t=nxt.index),
                 )
             )
-    present = set(u.ysupport)
     for j in range(1, u.n + 1):
-        if j in present:
-            continue
-        target = None
-        for pos, letter in enumerate(seq):
-            if not letter.is_x and letter.index > j:
-                target = pos
-                break
-        if target is None:
-            covered = seq + (Letter.y(j),)
-        else:
-            covered = seq[:target] + (Letter.y(j),) + seq[target:]
-        out.append((ShuffleWord(covered, u.m, u.n), CoverStep("insert_y", t=j)))
+        if j not in u.ysupport:
+            covered = ShuffleWord(_insert_y(seq, j), u.m, u.n)
+            out.append((covered, CoverStep("insert_y", t=j)))
     return out
 
 
@@ -112,22 +105,34 @@ def join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
     """
     if (u.m, u.n) != (v.m, v.n):
         raise ValueError("join requires words from the same family")
-    shared = set(v.xsupport)
-    xsupp = tuple(s for s in u.xsupport if s in shared)
-    ysupp = tuple(sorted(set(u.ysupport) | set(v.ysupport)))
-    support_word = ShuffleWord(
-        tuple(Letter.x(s) for s in xsupp) + tuple(Letter.y(t) for t in ysupp),
-        u.m,
-        u.n,
-    )
-    inv_u = restriction(y_fill(u), support_word).inversions
-    inv_v = restriction(y_fill(v), support_word).inversions
-    return word_from_profile(SupportProfile(xsupp, ysupp, inv_u | inv_v, u.m, u.n))
+    (ux, uy, urows, _), (vx, vy, vrows, _) = u.code, v.code
+    return _filled_union(u, ux & vx, Letter.x, uy, urows, vy, vrows, Letter.y)
 
 
 def meet(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
-    """Greatest lower bound, computed as the dual of a join."""
-    return dualize(join(dualize(u), dualize(v)))
+    """Greatest lower bound: the join with the roles of x and y exchanged."""
+    if (u.m, u.n) != (v.m, v.n):
+        raise ValueError("meet requires words from the same family")
+    (ux, uy, _, ucols), (vx, vy, _, vcols) = u.code, v.code
+    return _filled_union(u, uy & vy, Letter.y, ux, ucols, vx, vcols, Letter.x)
+
+
+def _filled_union(u, keep, fixed, u_has, u_rows, v_has, v_rows, mover) -> ShuffleWord:
+    """The word of u's family with the fixed letters in ``keep`` and the
+    movers of u or v, each mover inverted with the union of its two filled
+    rows on ``keep``.  Filling gives a missing mover the row of the next
+    larger present one, or 0 past the last: the slot rule of ``y_fill``."""
+    fu = fv = 0
+    movers = []
+    for t in range(len(u_rows) - 1, 0, -1):
+        if u_has >> t & 1:
+            fu = u_rows[t]
+        if v_has >> t & 1:
+            fv = v_rows[t]
+        if (u_has | v_has) >> t & 1:
+            movers.append((mover(t), ((fu | fv) & keep).bit_count()))
+    kept = [fixed(s) for s in range(1, keep.bit_length()) if keep >> s & 1]
+    return ShuffleWord(_place(kept, movers), u.m, u.n)
 
 
 @dataclass(frozen=True)

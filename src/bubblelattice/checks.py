@@ -272,7 +272,7 @@ def check_cu_labeling(family: LatticeFamily) -> CheckResult:
     return _result(
         "labeling.cu_conditions",
         report.ok and surjective,
-        {"polygons": report.polygon_count, "interval_constructable": "certified-by-labeling"},
+        {"polygons": report.polygon_count},
     )
 
 
@@ -283,8 +283,8 @@ def check_labeling_fibers(family: LatticeFamily) -> CheckResult:
     )
 
 
-def check_duality(family: LatticeFamily) -> CheckResult:
-    co = build_bubble_lattice(family.n, family.m)
+def check_duality(family: LatticeFamily, cap: Optional[int] = None) -> CheckResult:
+    co = build_bubble_lattice(family.n, family.m, cap=cap)
     mapping = [co.index(dualize(w)) for w in family.words]
     co_edges = set(co.poset.edges())
     ok = len(set(mapping)) == len(mapping)
@@ -356,17 +356,7 @@ def check_irreducibles_poset(family: LatticeFamily) -> CheckResult:
     if not jirr:
         return _result("lattice.irreducibles_poset", m == 0 and n == 0)
     sub = P.subposet(jirr)
-    comps: list[list[int]] = []
-    for e in range(sub.n):
-        linked = [
-            g
-            for g, grp in enumerate(comps)
-            if any(sub.leq(e, f) or sub.leq(f, e) for f in grp)
-        ]
-        merged = [e]
-        for g in sorted(linked, reverse=True):
-            merged.extend(comps.pop(g))
-        comps.append(merged)
+    comps = posets._comparability_components(sub, range(sub.n))
     sizes = sorted(len(c) for c in comps)
     expected = sorted([1] * m + [m + 1] * n)
     ok = sizes == expected
@@ -399,6 +389,7 @@ def run_suite(name: str, m: int, n: int, cap: Optional[int] = None) -> list[Chec
             check_unique_joins(family),
             check_hasse_regular(family),
             check_extremal_counts(family),
+            check_semidistributive_trim(family),
             check_same_support_distributive(family),
             check_yfill_closure(family),
             check_irreducibles_poset(family),
@@ -408,7 +399,7 @@ def run_suite(name: str, m: int, n: int, cap: Optional[int] = None) -> list[Chec
     if name == "galois":
         return [check_galois(family)]
     if name == "duality":
-        return [check_duality(family)]
+        return [check_duality(family, cap=cap)]
     if name == "crown":
         return [check_crown(family)]
     raise ValueError(f"unknown suite {name!r}")

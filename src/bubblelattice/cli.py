@@ -16,12 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bubble import (
-    DEFAULT_CAP,
-    build_bubble_lattice,
-    build_shuffle_poset,
-    count_shuffle,
-)
+from .bubble import _check_cap, build_bubble_lattice, build_shuffle_poset
 from .checks import SUITE_NAMES, run_suite
 from .errors import BubbleLatticeError, CapExceeded
 from .exports import element_table_csv, hasse_dot, sigma_table_csv
@@ -53,16 +48,9 @@ def _resolve_mn(args) -> tuple[int, int]:
     return m, n
 
 
-def _guard_cap(m: int, n: int, cap) -> None:
-    limit = DEFAULT_CAP if cap is None else cap
-    size = count_shuffle(m, n)
-    if size > limit:
-        raise CapExceeded(f"family ({m},{n}) has {size} elements, above the cap {limit}")
-
-
 def cmd_generate(args) -> int:
     m, n = _resolve_mn(args)
-    _guard_cap(m, n, args.cap)
+    _check_cap(m, n, args.cap)
     outdir = _outdir(args)
     family = build_bubble_lattice(m, n, cap=args.cap)
     wrote = []
@@ -126,7 +114,7 @@ def build_check_report(m, n, suites, cap=None, parallel=False, timings=False) ->
 
 def cmd_check(args) -> int:
     m, n = _resolve_mn(args)
-    _guard_cap(m, n, args.cap)
+    _check_cap(m, n, args.cap)
     if args.suite in (None, "all"):
         suites = list(SUITE_NAMES)
     else:
@@ -147,7 +135,7 @@ def cmd_check(args) -> int:
 
 def cmd_galois(args) -> int:
     m, n = _resolve_mn(args)
-    _guard_cap(m, n, args.cap)
+    _check_cap(m, n, args.cap)
     outdir = _outdir(args)
     family = build_bubble_lattice(m, n, cap=args.cap)
     ordering = order_irreducibles(family.poset)
@@ -182,7 +170,7 @@ def cmd_hochschild(args) -> int:
     n = args.n
     if n is None:
         raise SystemExit("need the tuple length n")
-    _guard_cap(n - 1, 1, args.cap)
+    _check_cap(n - 1, 1, args.cap)
     from .checks import check_hochschild
 
     result = check_hochschild(n)
@@ -203,7 +191,7 @@ def cmd_hochschild(args) -> int:
 
 def cmd_label(args) -> int:
     m, n = _resolve_mn(args)
-    _guard_cap(m, n, args.cap)
+    _check_cap(m, n, args.cap)
     outdir = _outdir(args)
     family = build_bubble_lattice(m, n, cap=args.cap)
     labels = edge_labels(family)

@@ -141,9 +141,6 @@ class FinitePoset:
     def degree(self, i: int) -> int:
         return len(self.up_adj[i]) + len(self.down_adj[i])
 
-    def interval_mask(self, p: int, q: int) -> int:
-        return self.up[p] & self.down[q]
-
     def dual(self) -> "FinitePoset":
         return FinitePoset(self.n, [(b, a) for (a, b) in self.edges()])
 
@@ -330,21 +327,20 @@ def meet_irreducibles(P: FinitePoset) -> list[int]:
 
 def is_join_semidistributive(P: FinitePoset) -> bool:
     join, meet = _tables(P)
-    for p in range(P.n):
-        row = join[p]
-        lhs = row[:, None] == row[None, :]
-        rhs = row[meet] == row[:, None]
-        if np.any(lhs & ~rhs):
-            return False
-    return True
+    return _semidistributive_half(join, meet)
 
 
 def is_meet_semidistributive(P: FinitePoset) -> bool:
     join, meet = _tables(P)
-    for p in range(P.n):
-        row = meet[p]
+    return _semidistributive_half(meet, join)
+
+
+def _semidistributive_half(op: np.ndarray, dual_op: np.ndarray) -> bool:
+    """p*q = p*r implies p*(q dual r) = p*q, for every p, q, r."""
+    for p in range(len(op)):
+        row = op[p]
         lhs = row[:, None] == row[None, :]
-        rhs = row[join] == row[:, None]
+        rhs = row[dual_op] == row[:, None]
         if np.any(lhs & ~rhs):
             return False
     return True
@@ -562,6 +558,22 @@ class Polygon:
         return tuple(zip(c1, c1[1:])), tuple(zip(c2, c2[1:]))
 
 
+def _comparability_components(P: FinitePoset, members: Iterable[int]) -> list[list[int]]:
+    """The connected components of the comparability graph on ``members``."""
+    groups: list[list[int]] = []
+    for e in members:
+        linked = [
+            g
+            for g, grp in enumerate(groups)
+            if any(P.leq(e, f) or P.leq(f, e) for f in grp)
+        ]
+        merged = [e]
+        for g in sorted(linked, reverse=True):
+            merged.extend(groups.pop(g))
+        groups.append(merged)
+    return groups
+
+
 def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
     """Intervals that are unions of two chains meeting only at the ends.
 
@@ -578,18 +590,7 @@ def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
             members = list(_bits(inner))
             if sum(1 for a in P.up_adj[p] if (inner >> a) & 1) != 2:
                 continue
-            # split the open interval into comparability components
-            groups: list[list[int]] = []
-            for e in members:
-                linked = [
-                    g
-                    for g, grp in enumerate(groups)
-                    if any(P.leq(e, f) or P.leq(f, e) for f in grp)
-                ]
-                merged = [e]
-                for g in sorted(linked, reverse=True):
-                    merged.extend(groups.pop(g))
-                groups.append(merged)
+            groups = _comparability_components(P, members)
             if len(groups) != 2:
                 continue
             chains = []

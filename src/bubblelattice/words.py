@@ -3,10 +3,10 @@
 Letters come from two disjoint alphabets x_1..x_m and y_1..y_n.  A shuffle
 word is a duplicate-free sequence whose x-letters appear with strictly
 increasing indices and whose y-letters do too.  Besides construction and
-enumeration, this module provides restriction, inversion sets, the
-right-filling operators, dualization, and reconstruction of a word from its
-support profile (supports plus inversion set), which pins a word down
-uniquely.
+enumeration, this module provides restriction, inversion sets and their
+bitmask code (``ShuffleWord.code``), the right-filling operators,
+dualization, and reconstruction of a word from its support profile
+(supports plus inversion set), which pins a word down uniquely.
 
 The text encoding used throughout the repo is dotted tokens such as
 ``x1.y1.x2``; the empty word is written ``-``.
@@ -15,7 +15,7 @@ The text encoding used throughout the repo is dotted tokens such as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -39,10 +39,12 @@ class Letter:
     index: int
 
     @staticmethod
+    @cache
     def x(index: int) -> "Letter":
         return Letter(X_TAG, index)
 
     @staticmethod
+    @cache
     def y(index: int) -> "Letter":
         return Letter(Y_TAG, index)
 
@@ -109,6 +111,23 @@ class ShuffleWord:
             else:
                 ys_seen.append(letter.index)
         return frozenset(pairs)
+
+    @cached_property
+    def code(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+        """``(xmask, ymask, rows, cols)``, where bit i stands for index i,
+        ``rows[t]`` masks the x's after y_t (its inversion row) and
+        ``cols[s]`` the y's after x_s (the row in the dual word)."""
+        xmask = ymask = 0
+        rows = [0] * (self.n + 1)
+        cols = [0] * (self.m + 1)
+        for letter in reversed(self.letters):
+            if letter.is_x:
+                cols[letter.index] = ymask
+                xmask |= 1 << letter.index
+            else:
+                rows[letter.index] = xmask
+                ymask |= 1 << letter.index
+        return xmask, ymask, tuple(rows), tuple(cols)
 
     @property
     def sort_key(self) -> tuple[tuple[str, int], ...]:
@@ -193,10 +212,6 @@ def restriction(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
     return ShuffleWord(tuple(l for l in u.letters if l in common), u.m, u.n)
 
 
-def inversions(u: ShuffleWord) -> frozenset[tuple[int, int]]:
-    return u.inversions
-
-
 def y_fill(u: ShuffleWord) -> ShuffleWord:
     """Insert the missing y-letters as far right as possible.
 
@@ -204,21 +219,17 @@ def y_fill(u: ShuffleWord) -> ShuffleWord:
     immediately left of the smallest present y_k with k > j, or appended at
     the end when no such letter exists.
     """
-    present = set(u.ysupport)
-    seq = list(u.letters)
+    seq = u.letters
     for j in range(u.n, 0, -1):
-        if j in present:
-            continue
-        target = None
-        for pos, letter in enumerate(seq):
-            if not letter.is_x and letter.index > j:
-                target = pos
-                break
-        if target is None:
-            seq.append(Letter.y(j))
-        else:
-            seq.insert(target, Letter.y(j))
-    return ShuffleWord(tuple(seq), u.m, u.n)
+        if j not in u.ysupport:
+            seq = _insert_y(seq, j)
+    return ShuffleWord(seq, u.m, u.n)
+
+
+def _insert_y(seq: tuple[Letter, ...], j: int) -> tuple[Letter, ...]:
+    """``seq`` with y_j put just before its first larger y, or at the end."""
+    pos = next((p for p, l in enumerate(seq) if not l.is_x and l.index > j), len(seq))
+    return seq[:pos] + (Letter.y(j),) + seq[pos:]
 
 
 def dualize(u: ShuffleWord) -> ShuffleWord:
@@ -280,11 +291,14 @@ def word_from_profile(p: SupportProfile) -> ShuffleWord:
             raise Unrealizable(f"inversions of y_{t} exceed those of a smaller y-letter")
         prev_len = len(row)
 
-    # y_t sits immediately before the x-suffix it is inverted with.
-    slot = {t: len(xs) - len(rows[t]) for t in p.ysupp}
-    seq: list[Letter] = []
-    for k, s in enumerate(xs):
-        seq.extend(Letter.y(t) for t in p.ysupp if slot[t] == k)
-        seq.append(Letter.x(s))
-    seq.extend(Letter.y(t) for t in p.ysupp if slot[t] == len(xs))
-    return ShuffleWord(tuple(seq), p.m, p.n)
+    movers = [(Letter.y(t), len(rows[t])) for t in reversed(p.ysupp)]
+    return ShuffleWord(_place([Letter.x(s) for s in xs], movers), p.m, p.n)
+
+
+def _place(fixed: list[Letter], movers: Iterable[tuple[Letter, int]]) -> tuple[Letter, ...]:
+    """``fixed`` in order, each mover ``(letter, k)`` put just before the last
+    k of them; movers come largest index first, so ties stay increasing."""
+    seq = list(fixed)
+    for letter, k in movers:
+        seq.insert(len(fixed) - k, letter)
+    return tuple(seq)

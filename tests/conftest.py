@@ -2,7 +2,10 @@
 
 The oracles here deliberately avoid the library's own enumeration and
 cover code paths: words come from subset-plus-interleaving generation and
-order facts from one-step move closures.
+order facts from one-step move closures.  The ``oracle_*`` order, join and
+meet functions evaluate the paper's formulas one letter at a time, through
+the public ``restriction``, ``y_fill``, ``word_from_profile`` and
+``dualize``; the library's bitmask kernel is tested against them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ import pytest
 from hypothesis import strategies as st
 
 from bubblelattice.bubble import LatticeFamily, build_bubble_lattice, build_shuffle_poset
-from bubblelattice.words import Letter, ShuffleWord
+from bubblelattice.words import (
+    Letter,
+    ShuffleWord,
+    SupportProfile,
+    dualize,
+    restriction,
+    word_from_profile,
+    y_fill,
+)
 
 _BUBBLE_CACHE: dict[tuple[int, int], LatticeFamily] = {}
 _SHUFFLE_CACHE: dict[tuple[int, int], LatticeFamily] = {}
@@ -69,6 +80,49 @@ def oracle_words(m: int, n: int) -> set[tuple[Letter, ...]]:
                                 yi += 1
                         out.add(tuple(seq))
     return out
+
+
+def oracle_leq_shuffle(u: ShuffleWord, v: ShuffleWord) -> bool:
+    """Shuffle order: v's x's within u's, u's y's within v's, and the
+    common letters in the same order in both words."""
+    if not set(v.xsupport) <= set(u.xsupport):
+        return False
+    if not set(u.ysupport) <= set(v.ysupport):
+        return False
+    return restriction(u, v).letters == restriction(v, u).letters
+
+
+def oracle_leq_bubble(u: ShuffleWord, v: ShuffleWord) -> bool:
+    """Bubble order: the same supports test, with the inversions of u on
+    the common letters contained in those of v."""
+    if not set(v.xsupport) <= set(u.xsupport):
+        return False
+    if not set(u.ysupport) <= set(v.ysupport):
+        return False
+    return restriction(u, v).inversions <= restriction(v, u).inversions
+
+
+def oracle_join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
+    """The y-filling formula: common x's, all y's, and the union of the
+    inversions the two y-filled words induce on that support."""
+    if (u.m, u.n) != (v.m, v.n):
+        raise ValueError("join requires words from the same family")
+    shared = set(v.xsupport)
+    xsupp = tuple(s for s in u.xsupport if s in shared)
+    ysupp = tuple(sorted(set(u.ysupport) | set(v.ysupport)))
+    support_word = ShuffleWord(
+        tuple(Letter.x(s) for s in xsupp) + tuple(Letter.y(t) for t in ysupp),
+        u.m,
+        u.n,
+    )
+    inv_u = restriction(y_fill(u), support_word).inversions
+    inv_v = restriction(y_fill(v), support_word).inversions
+    return word_from_profile(SupportProfile(xsupp, ysupp, inv_u | inv_v, u.m, u.n))
+
+
+def oracle_meet(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
+    """The dual of a join: swap the alphabets, join, swap back."""
+    return dualize(oracle_join(dualize(u), dualize(v)))
 
 
 def one_step_moves(family: LatticeFamily) -> set[tuple[int, int]]:

@@ -22,6 +22,10 @@ from bubblelattice.words import dualize, parse_word, word_text, y_fill
 from conftest import (
     closure_matrix,
     one_step_moves,
+    oracle_join,
+    oracle_leq_bubble,
+    oracle_leq_shuffle,
+    oracle_meet,
     random_triple,
     random_word_pair,
     splits,
@@ -199,6 +203,38 @@ class TestJoinMeet:
     def test_join_associative(self, triple):
         u, v, x = triple
         assert join(join(u, v), x) == join(u, join(v, x))
+
+
+class TestKernelAgainstOracle:
+    """The bitmask kernel against the letter-level formulas in conftest."""
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_exhaustive(self, m, n, bubble):
+        words = bubble(m, n).words
+        for u in words:
+            for v in words:
+                assert join(u, v) == oracle_join(u, v)
+                assert meet(u, v) == oracle_meet(u, v)
+                assert leq_bubble(u, v) == oracle_leq_bubble(u, v)
+                assert leq_shuffle(u, v) == oracle_leq_shuffle(u, v)
+
+    @given(random_word_pair(max_m=12, max_n=12))
+    def test_large_alphabets(self, pair):
+        u, v = pair
+        top, bottom = join(u, v), meet(u, v)
+        assert top == oracle_join(u, v)
+        assert bottom == oracle_meet(u, v)
+        # random pairs are mostly incomparable; the bounds give comparable ones
+        for a, b in ((u, v), (v, u), (u, top), (bottom, v), (top, u)):
+            assert leq_bubble(a, b) == oracle_leq_bubble(a, b)
+            assert leq_shuffle(a, b) == oracle_leq_shuffle(a, b)
+
+    @pytest.mark.parametrize("op", [join, meet])
+    def test_mismatched_families_rejected(self, op):
+        with pytest.raises(ValueError):
+            op(w("x1", 2, 1), w("x1", 2, 2))
+        with pytest.raises(ValueError):
+            op(w("y1", 1, 1), w("y1", 2, 1))
 
 
 class TestFamilies:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bubblelattice import bubble
 from bubblelattice.cli import build_check_report, main
 from bubblelattice.exports import element_table_csv, sigma_table_csv
 from bubblelattice.bubble import build_bubble_lattice
@@ -93,6 +94,7 @@ class TestCheck:
         assert {
             "lattice.unique_joins",
             "lattice.extremal_counts",
+            "lattice.semidistributive_trim",
             "labeling.cu_conditions",
             "galois.graphs_coincide",
             "hochschild.iso",
@@ -100,6 +102,22 @@ class TestCheck:
             "crown.witness",
         } <= ids
         assert (tmp_path / "check_2_1.json").exists()
+        cu = next(c for c in report["checks"] if c["id"] == "labeling.cu_conditions")
+        assert set(cu["detail"]) == {"polygons"}
+
+    def test_cap_reaches_the_dual_family(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bubble, "DEFAULT_CAP", 20)
+        code, out, _ = run(
+            ["check", "2", "2", "--cap", "100", "--suite", "order,duality"],
+            tmp_path,
+            monkeypatch,
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["suites"] == ["order", "duality"]
+        ids = {c["id"] for c in report["checks"]}
+        assert {"order.axioms", "duality.anti_isomorphism"} <= ids
 
     def test_suite_subset(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(

@@ -17,6 +17,7 @@ from bubblelattice.posets import (
     is_isomorphic,
     is_join_semidistributive,
     is_lattice,
+    is_meet_semidistributive,
     is_perspective,
     is_semidistributive,
     is_trim,
@@ -142,6 +143,14 @@ class TestSemidistributivity:
     def test_m3_fails(self):
         assert not is_join_semidistributive(m3())
         assert not is_semidistributive(m3())
+
+    def test_one_sided(self):
+        # 5 v 3 = 5 v 4 = 6, but 5 v (3 ^ 4) = 5 v 0 = 5: meet-SD only
+        P = FinitePoset(
+            7, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]
+        )
+        assert is_meet_semidistributive(P) and not is_join_semidistributive(P)
+        assert is_join_semidistributive(P.dual()) and not is_meet_semidistributive(P.dual())
 
     def test_chain(self):
         assert is_semidistributive(chain_poset(4))
