@@ -24,7 +24,7 @@ from .words import (
     enumerate_shuffle,
 )
 
-DEFAULT_CAP = 50_000
+DEFAULT_CAP = 20_000
 
 
 def leq_shuffle(u: ShuffleWord, v: ShuffleWord) -> bool:
@@ -170,7 +170,8 @@ def _check_cap(m: int, n: int, cap: Optional[int]) -> None:
     size = count_shuffle(m, n)
     if size > limit:
         raise CapExceeded(
-            f"family ({m},{n}) has {size} elements, above the cap {limit}"
+            f"family ({m},{n}) has {size:,} elements, above the cap {limit:,}; "
+            f"its join and meet tables alone would need {8 * size**2 / 1e9:.1f} GB"
         )
 
 

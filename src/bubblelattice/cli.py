@@ -218,7 +218,7 @@ def _add_common(parser, with_n=True) -> None:
         parser.add_argument("n", type=int, nargs="?", help="size of the y-alphabet")
     parser.add_argument("--m", dest="m_flag", type=int, help="alternative to positional m")
     parser.add_argument("--n", dest="n_flag", type=int, help="alternative to positional n")
-    parser.add_argument("--cap", type=int, default=None, help="max element count (default 50000)")
+    parser.add_argument("--cap", type=int, default=None, help="max element count (default 20000)")
     parser.add_argument("--outdir", default=None, help="output directory (or $BUBBLELATTICE_OUTDIR)")
     parser.add_argument("--dot", action="store_true", help="write DOT files")
     parser.add_argument("--csv", action="store_true", help="write CSV files")

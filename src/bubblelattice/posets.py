@@ -12,16 +12,12 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    KappaMissing,
-    NotALattice,
-    NotJoinSemidistributive,
-    SizeMismatch,
-)
+from .errors import KappaMissing, NotALattice, NotJoinSemidistributive, SizeMismatch
 
 Edge = tuple[int, int]
 
@@ -162,11 +158,8 @@ class FinitePoset:
     def leq_matrix(self) -> np.ndarray:
         cached = self.__dict__.get("_leq_matrix")
         if cached is None:
-            n = self.n
-            cached = np.zeros((n, n), dtype=bool)
-            for i in range(n):
-                for j in _bits(self.up[i]):
-                    cached[i, j] = True
+            bits = np.unpackbits(_packed(self.up), axis=1, bitorder="little")
+            cached = bits[:, : self.n].astype(bool)
             cached.flags.writeable = False
             self.__dict__["_leq_matrix"] = cached
         return cached
@@ -233,40 +226,53 @@ class FinitePoset:
 # -- lattice tables ---------------------------------------------------------
 
 
+def _packed(masks: Sequence[int]) -> np.ndarray:
+    """Bitmask i as uint8 row i, little-endian: bit j sits in byte j >> 3."""
+    width = (len(masks) + 7) // 8
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+
+
+def _bound_table(topo: Sequence[int], covers, up: Sequence[int], bound: str, least: str) -> np.ndarray:
+    """The join table, each row built from the rows of the upper covers.
+
+    Rows are filled in reverse ``topo`` order.  Off the down-set of i, the
+    upper bounds of i and j are those of c v j over the covers c of i, so
+    i v j is the candidate w of least topological position, once w is shown
+    below every candidate: c v w = c v j for each c.  Given the reversed
+    order, lower covers and down-sets, the same walk builds the meet table.
+    """
+    n = len(topo)
+    order = np.array(topo, dtype=np.int32)
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    bits = _packed(up)
+    table = np.empty((n, n), dtype=np.int32)
+    for i in reversed(topo):
+        below = (bits[:, i >> 3] >> (i & 7)) & 1 == 1
+        if not covers[i]:
+            if not below.all():
+                raise NotALattice(f"elements {i} and {int(np.argmin(below))} have no {bound} bound")
+            table[i] = i
+            continue
+        rows = table[list(covers[i])]
+        best = order[pos[rows].min(axis=0)]
+        failed = ~((np.take(rows, best, axis=1) == rows).all(axis=0) | below)
+        if failed.any():
+            raise NotALattice(
+                f"elements {i} and {int(np.argmax(failed))} have two {least} {bound} bounds"
+            )
+        best[below] = i
+        table[i] = best
+    return table
+
+
 def _tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     cached = P.__dict__.get("_lattice_tables")
     if cached is not None:
         return cached
-    n = P.n
-    pos = {e: k for k, e in enumerate(P.topo)}
-    rpos = {e: n - 1 - pos[e] for e in range(n)}
-    # masks over topo positions: the least set bit of an up-set intersection
-    # is a minimal element of it, because topo position is a linear extension
-    uptopo = [0] * n
-    downtopo = [0] * n
-    for i in range(n):
-        for j in _bits(P.up[i]):
-            uptopo[i] |= 1 << pos[j]
-        for j in _bits(P.down[i]):
-            downtopo[i] |= 1 << rpos[j]
-    join = np.zeros((n, n), dtype=np.int32)
-    meet = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(i, n):
-            common = uptopo[i] & uptopo[j]
-            if not common:
-                raise NotALattice(f"elements {i} and {j} have no upper bound")
-            w = P.topo[(common & -common).bit_length() - 1]
-            if common & ~uptopo[w]:
-                raise NotALattice(f"elements {i} and {j} have two minimal upper bounds")
-            join[i, j] = join[j, i] = w
-            common = downtopo[i] & downtopo[j]
-            if not common:
-                raise NotALattice(f"elements {i} and {j} have no lower bound")
-            w = P.topo[n - 1 - ((common & -common).bit_length() - 1)]
-            if common & ~downtopo[w]:
-                raise NotALattice(f"elements {i} and {j} have two maximal lower bounds")
-            meet[i, j] = meet[j, i] = w
+    join = _bound_table(P.topo, P.up_adj, P.up, "upper", "minimal")
+    meet = _bound_table(P.topo[::-1], P.down_adj, P.down, "lower", "maximal")
     join.flags.writeable = False
     meet.flags.writeable = False
     P.__dict__["_lattice_tables"] = (join, meet)
@@ -579,14 +585,15 @@ def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
 
     The proper part of such an interval consists of two nonempty chains with
     no comparabilities across them; the minimal instance is the diamond.
+    The chains start at two covers a and b of the bottom, and a v b is the
+    top (an interior a v b would be comparable to both chains), so only
+    those joins are tried: P must be a lattice, else NotALattice is raised.
     """
+    join, _ = _tables(P)
     out: list[Polygon] = []
     for p in range(P.n):
-        strict_up = P.up[p] & ~(1 << p)
-        for q in _bits(strict_up):
+        for q in sorted({int(join[a, b]) for a, b in combinations(P.up_adj[p], 2)}):
             inner = (P.up[p] & P.down[q]) & ~((1 << p) | (1 << q))
-            if not inner:
-                continue
             members = list(_bits(inner))
             if sum(1 for a in P.up_adj[p] if (inner >> a) & 1) != 2:
                 continue
@@ -602,16 +609,7 @@ def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
             if chains is None:
                 continue
             chains.sort(key=lambda c: c[0])
-            out.append(
-                Polygon(
-                    p,
-                    q,
-                    (
-                        (p, *chains[0], q),
-                        (p, *chains[1], q),
-                    ),
-                )
-            )
+            out.append(Polygon(p, q, ((p, *chains[0], q), (p, *chains[1], q))))
     return out
 
 

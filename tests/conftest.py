@@ -6,16 +6,22 @@ order facts from one-step move closures.  The ``oracle_*`` order, join and
 meet functions evaluate the paper's formulas one letter at a time, through
 the public ``restriction``, ``y_fill``, ``word_from_profile`` and
 ``dualize``; the library's bitmask kernel is tested against them.
+``oracle_lattice_tables`` and ``oracle_polygonal_intervals`` are the
+pair-by-pair table scan and the all-comparable-pairs polygon scan that the
+cover recursion and the join-driven polygon search in ``posets`` replaced.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from bubblelattice.bubble import LatticeFamily, build_bubble_lattice, build_shuffle_poset
+from bubblelattice.errors import NotALattice
+from bubblelattice.posets import FinitePoset, Polygon, _bits, _comparability_components
 from bubblelattice.words import (
     Letter,
     ShuffleWord,
@@ -123,6 +129,78 @@ def oracle_join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
 def oracle_meet(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
     """The dual of a join: swap the alphabets, join, swap back."""
     return dualize(oracle_join(dualize(u), dualize(v)))
+
+
+def oracle_lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """Join and meet tables by testing every pair's common up- and down-set."""
+    n = P.n
+    pos = {e: k for k, e in enumerate(P.topo)}
+    rpos = {e: n - 1 - pos[e] for e in range(n)}
+    # masks over topo positions: the least set bit of an up-set intersection
+    # is a minimal element of it, because topo position is a linear extension
+    uptopo = [0] * n
+    downtopo = [0] * n
+    for i in range(n):
+        for j in _bits(P.up[i]):
+            uptopo[i] |= 1 << pos[j]
+        for j in _bits(P.down[i]):
+            downtopo[i] |= 1 << rpos[j]
+    join = np.zeros((n, n), dtype=np.int32)
+    meet = np.zeros((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(i, n):
+            common = uptopo[i] & uptopo[j]
+            if not common:
+                raise NotALattice(f"elements {i} and {j} have no upper bound")
+            w = P.topo[(common & -common).bit_length() - 1]
+            if common & ~uptopo[w]:
+                raise NotALattice(f"elements {i} and {j} have two minimal upper bounds")
+            join[i, j] = join[j, i] = w
+            common = downtopo[i] & downtopo[j]
+            if not common:
+                raise NotALattice(f"elements {i} and {j} have no lower bound")
+            w = P.topo[n - 1 - ((common & -common).bit_length() - 1)]
+            if common & ~downtopo[w]:
+                raise NotALattice(f"elements {i} and {j} have two maximal lower bounds")
+            meet[i, j] = meet[j, i] = w
+    return join, meet
+
+
+def oracle_polygonal_intervals(P: FinitePoset) -> list[Polygon]:
+    """Polygons by testing the interval [p, q] of every pair p < q."""
+    out: list[Polygon] = []
+    for p in range(P.n):
+        strict_up = P.up[p] & ~(1 << p)
+        for q in _bits(strict_up):
+            inner = (P.up[p] & P.down[q]) & ~((1 << p) | (1 << q))
+            if not inner:
+                continue
+            members = list(_bits(inner))
+            if sum(1 for a in P.up_adj[p] if (inner >> a) & 1) != 2:
+                continue
+            groups = _comparability_components(P, members)
+            if len(groups) != 2:
+                continue
+            chains = []
+            for grp in groups:
+                if not all(P.leq(a, b) or P.leq(b, a) for a in grp for b in grp):
+                    chains = None
+                    break
+                chains.append(sorted(grp, key=lambda e: bin(P.down[e] & inner).count("1")))
+            if chains is None:
+                continue
+            chains.sort(key=lambda c: c[0])
+            out.append(
+                Polygon(
+                    p,
+                    q,
+                    (
+                        (p, *chains[0], q),
+                        (p, *chains[1], q),
+                    ),
+                )
+            )
+    return out
 
 
 def one_step_moves(family: LatticeFamily) -> set[tuple[int, int]]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bubblelattice import bubble
+from bubblelattice import bubble, words
 from bubblelattice.cli import build_check_report, main
 from bubblelattice.exports import element_table_csv, sigma_table_csv
 from bubblelattice.bubble import build_bubble_lattice
@@ -118,6 +118,16 @@ class TestCheck:
         assert report["suites"] == ["order", "duality"]
         ids = {c["id"] for c in report["checks"]}
         assert {"order.axioms", "duality.anti_isomorphism"} <= ids
+
+    def test_refuses_6_5_before_building(self, tmp_path, monkeypatch, capsys):
+        def forbidden(m, n):
+            raise AssertionError("the family was enumerated before the cap check")
+
+        monkeypatch.setattr(words, "enumerate_shuffle", forbidden)
+        monkeypatch.setattr(bubble, "enumerate_shuffle", forbidden)
+        code, out, err = run(["check", "6", "5"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert "refused" in err and "43,620" in err and "15.2 GB" in err
 
     def test_suite_subset(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bubblelattice.errors import KappaMissing, NotJoinSemidistributive, SizeMismatch
+from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive, SizeMismatch
+from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.posets import (
     FinitePoset,
     atoms,
@@ -29,7 +30,7 @@ from bubblelattice.posets import (
     polygonal_intervals,
 )
 
-from conftest import splits
+from conftest import oracle_lattice_tables, oracle_polygonal_intervals, splits
 
 
 def chain_poset(k):
@@ -424,6 +425,8 @@ class TestEngineAgainstNaiveDefinitions:
         for i in range(n):
             for j in range(n):
                 assert P.leq(i, j) == naive_leq(i, j)
+                assert P.leq_matrix[i, j] == P.leq(i, j)
+        assert not P.leq_matrix.flags.writeable and P.leq_matrix is P.leq_matrix
 
     @given(random_poset())
     def test_bound_helpers_match_enumeration(self, data):
@@ -511,3 +514,71 @@ class TestPolygons:
         for poly in polygonal_intervals(P):
             c1, c2 = map(set, poly.chains)
             assert c1 & c2 == {poly.bottom, poly.top}
+
+
+@st.composite
+def random_bounded_poset(draw, max_n: int = 8):
+    """A random poset; half of them get a new bottom and a new top."""
+    P, masks = draw(random_poset(max_n=max_n))
+    if draw(st.booleans()):
+        n = P.n + 2
+        top = 1 << (n - 1)
+        masks = [(1 << n) - 1] + [(m << 1) | top for m in masks] + [top]
+        P = FinitePoset.from_leq_masks(n, masks)
+    return P
+
+
+def assert_matches_oracles(P):
+    join, meet = lattice_tables(P)
+    expected_join, expected_meet = oracle_lattice_tables(P)
+    assert np.array_equal(join, expected_join)
+    assert np.array_equal(meet, expected_meet)
+    assert polygonal_intervals(P) == oracle_polygonal_intervals(P)
+
+
+class TestCoverRecursionAgainstOracles:
+    """The cover-recursive tables and the join-driven polygon search against
+    the pair-by-pair scans they replaced."""
+
+    @given(random_bounded_poset())
+    def test_random_posets(self, P):
+        try:
+            oracle_lattice_tables(P)
+        except NotALattice:
+            with pytest.raises(NotALattice):
+                lattice_tables(P)
+            return
+        assert_matches_oracles(P)
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_bubble_families(self, m, n, bubble):
+        assert_matches_oracles(bubble(m, n).poset)
+
+    @pytest.mark.parametrize("m,n", splits(4))
+    def test_shuffle_posets(self, m, n, shuffle):
+        assert_matches_oracles(shuffle(m, n).poset)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_hochschild_lattices(self, k):
+        assert_matches_oracles(hochschild_lattice(k)[1])
+
+    def test_polygons_need_a_lattice(self):
+        P = FinitePoset(4, [(0, 1), (1, 2), (1, 3)])
+        with pytest.raises(NotALattice, match="no upper bound"):
+            polygonal_intervals(P)
+
+    def test_no_upper_bound(self):
+        with pytest.raises(NotALattice, match="^elements 2 and 1 have no upper bound$"):
+            lattice_tables(FinitePoset(3, [(0, 1), (0, 2)]))
+
+    def test_two_minimal_upper_bounds(self):
+        # bottom 0, atoms 1 and 2, both below each of 3 and 4, top 5
+        P = FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+        with pytest.raises(
+            NotALattice, match="^elements 2 and 1 have two minimal upper bounds$"
+        ):
+            lattice_tables(P)
+
+    def test_no_lower_bound(self):
+        with pytest.raises(NotALattice, match="^elements 0 and 1 have no lower bound$"):
+            lattice_tables(FinitePoset(3, [(0, 2), (1, 2)]))
