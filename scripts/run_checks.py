@@ -12,7 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bubblelattice.checks import SUITE_NAMES, run_suite
+from bubblelattice.checks import SUITE_NAMES
+from bubblelattice.cli import build_check_report
 
 
 def main() -> int:
@@ -27,11 +28,7 @@ def main() -> int:
         for m in range(total + 1):
             n = total - m
             started = time.monotonic()
-            bad = []
-            for name in suites:
-                for result in run_suite(name, m, n):
-                    if result.status == "fail":
-                        bad.append(result.id)
+            bad = build_check_report(m, n, suites)["violations"]
             elapsed = time.monotonic() - started
             status = "ok" if not bad else f"FAIL {bad}"
             print(f"({m},{n})  {elapsed:6.2f}s  {status}")

@@ -36,7 +36,6 @@ from .words import (
     count_shuffle,
     dualize,
     enumerate_shuffle,
-    make_word,
     parse_word,
     profile,
     restriction,

@@ -11,10 +11,10 @@ transitive reduction.  Both orders, joins (the y-filling formula) and meets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CapExceeded
-from .posets import FinitePoset
+from .posets import FinitePoset, _masks
 from .words import (
     Letter,
     ShuffleWord,
@@ -49,6 +49,37 @@ def leq_bubble(u: ShuffleWord, v: ShuffleWord) -> bool:
         if urows[t] & vx & ~vrows[t]:
             return False
     return True
+
+
+def order_relations(words: Sequence[ShuffleWord]):
+    """The bubble and shuffle relations on ``words``, as N x N bool matrices.
+
+    Entry [i, j] is ``leq_bubble(words[i], words[j])`` (resp.
+    ``leq_shuffle``), computed from ``ShuffleWord.code`` in blocks of rows,
+    so that no temporary is larger than one result.
+    """
+    import numpy as np
+
+    count = len(words)
+    width = max((w.n for w in words), default=0) + 1
+    xs = np.array([w.code[0] for w in words], dtype=np.int64)
+    ys = np.array([w.code[1] for w in words], dtype=np.int64)
+    rows = np.array([w.code[2] for w in words], dtype=np.int64).reshape(count, width)
+    bubble = np.empty((count, count), dtype=bool)
+    shuffle = np.empty((count, count), dtype=bool)
+    step = max(1, count // 8)
+    for lo in range(0, count, step):
+        x, y = xs[lo:lo + step, None], ys[lo:lo + step, None]
+        supports = ((xs & ~x) == 0) & ((y & ~ys) == 0)
+        bub, shuf = bubble[lo:lo + step], shuffle[lo:lo + step]
+        bub[:] = supports
+        shuf[:] = supports
+        for t in range(1, width):
+            kept = rows[lo:lo + step, t, None] & xs
+            bub &= (kept & ~rows[:, t]) == 0
+            shuf &= (kept == rows[:, t]) | ((y >> t) & 1 == 0)
+    bubble.flags.writeable = shuffle.flags.writeable = False
+    return bubble, shuffle
 
 
 @dataclass(frozen=True)
@@ -148,6 +179,13 @@ class LatticeFamily:
         return self._index[u]
 
     @property
+    def relations(self):
+        """The bubble and shuffle matrices of ``order_relations(self.words)``."""
+        if "_relations" not in self.__dict__:
+            self.__dict__["_relations"] = order_relations(self.words)
+        return self.__dict__["_relations"]
+
+    @property
     def _index(self) -> dict[ShuffleWord, int]:
         cached = self.__dict__.get("_index_cache")
         if cached is None:
@@ -191,10 +229,8 @@ def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFam
     """Hasse diagram of the shuffle order, by transitive reduction."""
     _check_cap(m, n, cap)
     words = enumerate_shuffle(m, n)
-    poset = FinitePoset.from_leq(
-        len(words), lambda i, j: leq_shuffle(words[i], words[j])
-    )
-    return LatticeFamily(m, n, words, poset)
+    _, shuffle = order_relations(words)
+    return LatticeFamily(m, n, words, FinitePoset.from_leq_masks(len(words), _masks(shuffle)))
 
 
 def same_support_interval(

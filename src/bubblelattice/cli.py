@@ -13,12 +13,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bubble import _check_cap, build_bubble_lattice, build_shuffle_poset
-from .checks import SUITE_NAMES, run_suite
-from .errors import BubbleLatticeError, CapExceeded
+from .checks import SUITE_NAMES, SUITES, check_hochschild, error_result, run_suite
+from .errors import BubbleLatticeError, CapExceeded, OutOfAlphabet
 from .exports import element_table_csv, hasse_dot, sigma_table_csv
 from .galois import (
     bubble_galois_explicit,
@@ -74,31 +73,33 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_one_suite(payload):
-    name, m, n, cap = payload
+def build_check_report(m, n, suites, cap=None, timings=False) -> dict:
+    """Build (m, n) once and run every suite on it.
+
+    A family that fails to build fails every check; a cap refusal or a bad
+    alphabet size still raises.
+    """
     started = time.monotonic()
-    results = run_suite(name, m, n, cap=cap)
-    elapsed = time.monotonic() - started
-    return name, [
-        {"id": r.id, "status": r.status, "detail": r.detail} for r in results
-    ], elapsed
+    family = broken = None
+    try:
+        family = build_bubble_lattice(m, n, cap=cap)
+    except (CapExceeded, OutOfAlphabet):
+        raise
+    except Exception as exc:
+        import traceback
 
-
-def build_check_report(m, n, suites, cap=None, parallel=False, timings=False) -> dict:
-    jobs = [(name, m, n, cap) for name in suites]
-    if parallel and len(jobs) > 1:
-        try:
-            with ProcessPoolExecutor() as pool:
-                outcomes = list(pool.map(_run_one_suite, jobs))
-        except (OSError, RuntimeError):
-            outcomes = [_run_one_suite(job) for job in jobs]
-    else:
-        outcomes = [_run_one_suite(job) for job in jobs]
+        traceback.print_exc()
+        broken = exc
+    timing = {"build": round(time.monotonic() - started, 3)}
     checks = []
-    timing = {}
-    for name, results, elapsed in outcomes:
-        checks.extend(results)
-        timing[name] = round(elapsed, 3)
+    for name in suites:
+        started = time.monotonic()
+        if broken is None:
+            results = run_suite(name, family, cap=cap)
+        else:
+            results = [error_result(check_id, broken) for check_id, _ in SUITES[name]]
+        timing[name] = round(time.monotonic() - started, 3)
+        checks.extend({"id": r.id, "status": r.status, "detail": r.detail} for r in results)
     report = {
         "schema": SCHEMA_VERSION,
         "m": m,
@@ -122,9 +123,7 @@ def cmd_check(args) -> int:
         unknown = [s for s in suites if s not in SUITE_NAMES]
         if unknown:
             raise SystemExit(f"unknown suites: {unknown}; choose from {SUITE_NAMES}")
-    report = build_check_report(
-        m, n, suites, cap=args.cap, parallel=args.parallel, timings=args.timings
-    )
+    report = build_check_report(m, n, suites, cap=args.cap, timings=args.timings)
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
     if args.json:
@@ -170,10 +169,7 @@ def cmd_hochschild(args) -> int:
     n = args.n
     if n is None:
         raise SystemExit("need the tuple length n")
-    _check_cap(n - 1, 1, args.cap)
-    from .checks import check_hochschild
-
-    result = check_hochschild(n)
+    result = check_hochschild(build_bubble_lattice(n - 1, 1, cap=args.cap))
     outdir = _outdir(args)
     if args.csv:
         path = outdir / f"triwords_{n}.csv"
@@ -239,7 +235,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="run verification suites")
     _add_common(p)
     p.add_argument("--suite", default="all", help=f"comma-separated subset of {SUITE_NAMES}")
-    p.add_argument("--parallel", action="store_true", help="fan suites out across processes")
     p.add_argument("--timings", action="store_true", help="include per-suite timings in the report")
     p.set_defaults(func=cmd_check)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bubble import build_bubble_lattice
+from .bubble import LatticeFamily
 from .errors import InvalidTriword, WrongFamily
 from .posets import FinitePoset
 from .words import ShuffleWord
@@ -99,13 +99,14 @@ def sigma_tilde(u: ShuffleWord, n: int) -> Triword:
     return Triword(tuple(entries))
 
 
-def verify_hochschild_iso(n: int) -> bool:
-    """Does the encoding map the single-y bubble lattice onto the triwords?
+def verify_hochschild_iso(family: LatticeFamily) -> bool:
+    """Does the encoding map the single-y bubble lattice (m, 1) onto the
+    triwords of length m + 1?
 
     Checks bijectivity and that covers match in both directions, i.e. a
     genuine isomorphism rather than just an order map.
     """
-    family = build_bubble_lattice(n - 1, 1)
+    n = family.m + 1
     tris, tri_poset = hochschild_lattice(n)
     tri_index = {t: i for i, t in enumerate(tris)}
     image = [sigma_tilde(w, n) for w in family.words]
@@ -115,23 +116,3 @@ def verify_hochschild_iso(n: int) -> bool:
     edges_bub = {(forward[a], forward[b]) for a, b in family.poset.edges()}
     edges_tri = set(tri_poset.edges())
     return edges_bub == edges_tri
-
-
-def verify_componentwise_realization(
-    P: FinitePoset, vectors: list[tuple[int, ...]]
-) -> bool:
-    """Check a proposed embedding of a poset into a componentwise order.
-
-    A hook for realization experiments: the order must agree exactly with
-    componentwise comparison of the assigned integer tuples.
-    """
-    if len(vectors) != P.n:
-        return False
-    for i in range(P.n):
-        for j in range(P.n):
-            comp = all(a <= b for a, b in zip(vectors[i], vectors[j])) and len(
-                vectors[i]
-            ) == len(vectors[j])
-            if comp != P.leq(i, j):
-                return False
-    return True

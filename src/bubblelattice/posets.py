@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import KappaMissing, NotALattice, NotJoinSemidistributive, SizeMismatch
+from .errors import KappaMissing, NotALattice, NotJoinSemidistributive
 
 Edge = tuple[int, int]
 
@@ -233,6 +233,12 @@ def _packed(masks: Sequence[int]) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
 
+def _masks(matrix: np.ndarray) -> list[int]:
+    """Row i of a bool matrix as a bitmask: the inverse of ``_packed``."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _bound_table(topo: Sequence[int], covers, up: Sequence[int], bound: str, least: str) -> np.ndarray:
     """The join table, each row built from the rows of the upper covers.
 
@@ -290,29 +296,6 @@ def is_lattice(P: FinitePoset) -> bool:
         return True
     except NotALattice:
         return False
-
-
-def join_of(P: FinitePoset, a: int, b: int) -> Optional[int]:
-    """Least upper bound, or None if it does not exist (works on any poset)."""
-    common = P.up[a] & P.up[b]
-    if not common:
-        return None
-    best = None
-    for w in _bits(common):
-        if common & ~P.up[w] == 0:
-            best = w
-            break
-    return best
-
-
-def meet_of(P: FinitePoset, a: int, b: int) -> Optional[int]:
-    common = P.down[a] & P.down[b]
-    if not common:
-        return None
-    for w in _bits(common):
-        if common & ~P.down[w] == 0:
-            return w
-    return None
 
 
 # -- irreducibles and semidistributivity -------------------------------------
@@ -383,21 +366,6 @@ def lambda_jsd(P: FinitePoset, edge: Edge) -> int:
             f"edge ({p}, {q}) has non-irreducible label {label}"
         )
     return label
-
-
-def canonical_join_rep(P: FinitePoset, p: int) -> frozenset[int]:
-    """Canonical joinands of p: the labels on the edges entering p."""
-    return frozenset(lambda_jsd(P, (p2, p)) for p2 in P.down_adj[p])
-
-
-def is_perspective(P: FinitePoset, e1: Edge, e2: Edge) -> bool:
-    p, q = e1
-    p2, q2 = e2
-
-    def half(a, b, c, d) -> bool:
-        return join_of(P, b, c) == d and meet_of(P, b, c) == a
-
-    return half(p, q, p2, q2) or half(p2, q2, p, q)
 
 
 # -- extremality and trimness -------------------------------------------------
@@ -611,94 +579,6 @@ def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
             chains.sort(key=lambda c: c[0])
             out.append(Polygon(p, q, ((p, *chains[0], q), (p, *chains[1], q))))
     return out
-
-
-# -- isomorphism --------------------------------------------------------------
-
-
-def _refine_colors(P: FinitePoset) -> tuple[int, ...]:
-    colors = [
-        (P.height_below[i], P.depth_above[i], len(P.up_adj[i]), len(P.down_adj[i]))
-        for i in range(P.n)
-    ]
-    ids = {c: k for k, c in enumerate(sorted(set(colors)))}
-    cur = [ids[c] for c in colors]
-    while True:
-        sigs = [
-            (
-                cur[i],
-                tuple(sorted(cur[j] for j in P.up_adj[i])),
-                tuple(sorted(cur[j] for j in P.down_adj[i])),
-            )
-            for i in range(P.n)
-        ]
-        ids = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        nxt = [ids[s] for s in sigs]
-        if nxt == cur:
-            return tuple(cur)
-        cur = nxt
-
-
-def is_isomorphic(P: FinitePoset, Q: FinitePoset) -> Optional[list[int]]:
-    """A cover-preserving bijection from P to Q, or None.
-
-    Color refinement by rank and degree profiles prunes the backtracking;
-    adequate at desk scale, not a general graph-isomorphism engine.
-    """
-    if P.n != Q.n:
-        raise SizeMismatch(f"|P| = {P.n} but |Q| = {Q.n}")
-    if len(P.edges()) != len(Q.edges()):
-        return None
-    cp = _refine_colors(P)
-    cq = _refine_colors(Q)
-    if sorted(cp) != sorted(cq):
-        return None
-    by_color: dict[int, list[int]] = {}
-    for j, c in enumerate(cq):
-        by_color.setdefault(c, []).append(j)
-    order = sorted(range(P.n), key=lambda i: (len(by_color[cp[i]]), cp[i], i))
-    mapping = [-1] * P.n
-    inverse = [-1] * Q.n
-
-    def consistent(i: int, j: int) -> bool:
-        for a in P.up_adj[i]:
-            if mapping[a] != -1 and mapping[a] not in Q.up_adj[j]:
-                return False
-        for a in P.down_adj[i]:
-            if mapping[a] != -1 and mapping[a] not in Q.down_adj[j]:
-                return False
-        for b in Q.up_adj[j]:
-            if inverse[b] != -1 and inverse[b] not in P.up_adj[i]:
-                return False
-        for b in Q.down_adj[j]:
-            if inverse[b] != -1 and inverse[b] not in P.down_adj[i]:
-                return False
-        return True
-
-    def backtrack(k: int) -> bool:
-        if k == P.n:
-            return True
-        i = order[k]
-        for j in by_color[cp[i]]:
-            if inverse[j] != -1 or not consistent(i, j):
-                continue
-            mapping[i] = j
-            inverse[j] = i
-            if backtrack(k + 1):
-                return True
-            mapping[i] = -1
-            inverse[j] = -1
-        return False
-
-    if backtrack(0):
-        # a bijection sending covers to covers with equal edge counts is an
-        # order isomorphism (the order is the closure of its covers)
-        return mapping
-    return None
-
-
-def is_anti_isomorphic(P: FinitePoset, Q: FinitePoset) -> Optional[list[int]]:
-    return is_isomorphic(P, Q.dual())
 
 
 # -- misc ---------------------------------------------------------------------

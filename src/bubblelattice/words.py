@@ -148,11 +148,6 @@ class ShuffleWord:
         return f"ShuffleWord({word_text(self)!r}, m={self.m}, n={self.n})"
 
 
-def make_word(letters: Iterable[Letter], m: int, n: int) -> ShuffleWord:
-    """Validate and build a shuffle word; raises a WordError subclass if invalid."""
-    return ShuffleWord(tuple(letters), m, n)
-
-
 def word_text(u: ShuffleWord) -> str:
     if not u.letters:
         return "-"
@@ -170,7 +165,7 @@ def parse_word(text: str, m: int, n: int) -> ShuffleWord:
         if len(token) < 2 or token[0] not in (X_TAG, Y_TAG) or not token[1:].isdigit():
             raise WordError(f"bad letter token {token!r}")
         letters.append(Letter(token[0], int(token[1:])))
-    return make_word(letters, m, n)
+    return ShuffleWord(tuple(letters), m, n)
 
 
 def count_shuffle(m: int, n: int) -> int:

@@ -9,18 +9,22 @@ the public ``restriction``, ``y_fill``, ``word_from_profile`` and
 ``oracle_lattice_tables`` and ``oracle_polygonal_intervals`` are the
 pair-by-pair table scan and the all-comparable-pairs polygon scan that the
 cover recursion and the join-driven polygon search in ``posets`` replaced.
+``is_isomorphic`` is a backtracking isomorphism search for small posets,
+which the Galois check replaced by Markowsky's canonical map.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from bubblelattice.bubble import LatticeFamily, build_bubble_lattice, build_shuffle_poset
-from bubblelattice.errors import NotALattice
+from bubblelattice.errors import NotALattice, SizeMismatch
 from bubblelattice.posets import FinitePoset, Polygon, _bits, _comparability_components
 from bubblelattice.words import (
     Letter,
@@ -54,6 +58,15 @@ def shuffle():
         return _SHUFFLE_CACHE[(m, n)]
 
     return get
+
+
+def replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Monkeypatch ``original`` in every bubblelattice namespace holding it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bubblelattice":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def splits(total_max: int):
@@ -201,6 +214,87 @@ def oracle_polygonal_intervals(P: FinitePoset) -> list[Polygon]:
                 )
             )
     return out
+
+
+def _refine_colors(P: FinitePoset) -> tuple[int, ...]:
+    colors = [
+        (P.height_below[i], P.depth_above[i], len(P.up_adj[i]), len(P.down_adj[i]))
+        for i in range(P.n)
+    ]
+    ids = {c: k for k, c in enumerate(sorted(set(colors)))}
+    cur = [ids[c] for c in colors]
+    while True:
+        sigs = [
+            (
+                cur[i],
+                tuple(sorted(cur[j] for j in P.up_adj[i])),
+                tuple(sorted(cur[j] for j in P.down_adj[i])),
+            )
+            for i in range(P.n)
+        ]
+        ids = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        nxt = [ids[s] for s in sigs]
+        if nxt == cur:
+            return tuple(cur)
+        cur = nxt
+
+
+def is_isomorphic(P: FinitePoset, Q: FinitePoset) -> Optional[list[int]]:
+    """A cover-preserving bijection from P to Q, or None.
+
+    Color refinement by rank and degree profiles prunes the backtracking;
+    adequate at desk scale, not a general graph-isomorphism engine.
+    """
+    if P.n != Q.n:
+        raise SizeMismatch(f"|P| = {P.n} but |Q| = {Q.n}")
+    if len(P.edges()) != len(Q.edges()):
+        return None
+    cp = _refine_colors(P)
+    cq = _refine_colors(Q)
+    if sorted(cp) != sorted(cq):
+        return None
+    by_color: dict[int, list[int]] = {}
+    for j, c in enumerate(cq):
+        by_color.setdefault(c, []).append(j)
+    order = sorted(range(P.n), key=lambda i: (len(by_color[cp[i]]), cp[i], i))
+    mapping = [-1] * P.n
+    inverse = [-1] * Q.n
+
+    def consistent(i: int, j: int) -> bool:
+        for a in P.up_adj[i]:
+            if mapping[a] != -1 and mapping[a] not in Q.up_adj[j]:
+                return False
+        for a in P.down_adj[i]:
+            if mapping[a] != -1 and mapping[a] not in Q.down_adj[j]:
+                return False
+        for b in Q.up_adj[j]:
+            if inverse[b] != -1 and inverse[b] not in P.up_adj[i]:
+                return False
+        for b in Q.down_adj[j]:
+            if inverse[b] != -1 and inverse[b] not in P.down_adj[i]:
+                return False
+        return True
+
+    def backtrack(k: int) -> bool:
+        if k == P.n:
+            return True
+        i = order[k]
+        for j in by_color[cp[i]]:
+            if inverse[j] != -1 or not consistent(i, j):
+                continue
+            mapping[i] = j
+            inverse[j] = i
+            if backtrack(k + 1):
+                return True
+            mapping[i] = -1
+            inverse[j] = -1
+        return False
+
+    if backtrack(0):
+        # a bijection sending covers to covers with equal edge counts is an
+        # order isomorphism (the order is the closure of its covers)
+        return mapping
+    return None
 
 
 def one_step_moves(family: LatticeFamily) -> set[tuple[int, int]]:

@@ -123,9 +123,9 @@ def test_c09_closure_laws(bubble):
     report(9, "y-filling is idempotent, extensive and monotone (m+n<=6)", ok, time.monotonic() - started)
 
 
-def test_c10_hochschild():
+def test_c10_hochschild(bubble):
     started = time.monotonic()
-    ok = all(verify_hochschild_iso(n) for n in range(1, 8))
+    ok = all(verify_hochschild_iso(bubble(n - 1, 1)) for n in range(1, 8))
     ok = ok and all(
         len(enumerate_triwords(n)) == 2 ** (n - 2) * (n + 3) for n in range(2, 9)
     )

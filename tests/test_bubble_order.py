@@ -13,6 +13,7 @@ from bubblelattice.bubble import (
     leq_bubble,
     leq_shuffle,
     meet,
+    order_relations,
     same_support_interval,
     upper_covers,
 )
@@ -228,6 +229,25 @@ class TestKernelAgainstOracle:
         for a, b in ((u, v), (v, u), (u, top), (bottom, v), (top, u)):
             assert leq_bubble(a, b) == oracle_leq_bubble(a, b)
             assert leq_shuffle(a, b) == oracle_leq_shuffle(a, b)
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_relation_matrices(self, m, n, bubble):
+        family = bubble(m, n)
+        words = family.words
+        bub, shuf = family.relations
+        for i, u in enumerate(words):
+            assert bub[i].tolist() == [leq_bubble(u, v) for v in words]
+            assert shuf[i].tolist() == [leq_shuffle(u, v) for v in words]
+        assert family.relations is family.relations
+        assert not bub.flags.writeable and not shuf.flags.writeable
+
+    @given(random_word_pair(max_m=12, max_n=12))
+    def test_relation_matrices_large_alphabets(self, pair):
+        words = [*pair, join(*pair), meet(*pair)]
+        bub, shuf = order_relations(words)
+        for i, u in enumerate(words):
+            assert bub[i].tolist() == [leq_bubble(u, v) for v in words]
+            assert shuf[i].tolist() == [leq_shuffle(u, v) for v in words]
 
     @pytest.mark.parametrize("op", [join, meet])
     def test_mismatched_families_rejected(self, op):

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from bubblelattice import bubble, words
+from bubblelattice import bubble, posets, words
 from bubblelattice.cli import build_check_report, main
 from bubblelattice.exports import element_table_csv, sigma_table_csv
 from bubblelattice.bubble import build_bubble_lattice
+
+from conftest import replace_everywhere
 
 TABLE_21_CSV_ROWS = {
     ("-", ""),
@@ -152,15 +154,82 @@ class TestCheck:
         b = json.dumps(build_check_report(1, 1, ["order", "crown"]), sort_keys=True)
         assert a == b
 
-    def test_parallel_matches_sequential(self):
-        seq = build_check_report(1, 1, ["order", "lattice", "duality"])
-        par = build_check_report(1, 1, ["order", "lattice", "duality"], parallel=True)
-        assert seq == par
-
     def test_timings_flag_adds_key(self):
         without = build_check_report(1, 0, ["crown"])
         with_timings = build_check_report(1, 0, ["crown"], timings=True)
-        assert "timings" not in without and "timings" in with_timings
+        assert "timings" not in without
+        assert set(with_timings["timings"]) == {"build", "crown"}
+
+    def test_parallel_flag_is_gone(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "1", "1", "--parallel"], tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
+
+    def test_bad_alphabet_size_exits_2(self, tmp_path, monkeypatch, capsys):
+        code, out, err = run(["check", "--m", "-1", "--n", "2"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "m,n,expected", [(3, 3, {(3, 3): 1}), (2, 1, {(2, 1): 1, (1, 2): 1})]
+    )
+    def test_one_build_per_family(self, m, n, expected, tmp_path, monkeypatch, capsys):
+        builds = {}
+        original = bubble.build_bubble_lattice
+
+        def counted(m, n, cap=None):
+            builds[(m, n)] = builds.get((m, n), 0) + 1
+            return original(m, n, cap=cap)
+
+        replace_everywhere(monkeypatch, original, counted)
+        code, _, _ = run(["check", str(m), str(n)], tmp_path, monkeypatch, capsys)
+        assert code == 0 and builds == expected
+
+    def test_raising_check_is_a_failure_entry(self, tmp_path, monkeypatch, capsys):
+        def broken(P):
+            raise RuntimeError("no crown today")
+
+        monkeypatch.setattr(posets, "find_crown", broken)
+        code, out, err = run(
+            ["check", "2", "1", "--suite", "crown,duality"], tmp_path, monkeypatch, capsys
+        )
+        report = json.loads(out)
+        assert code == 1 and report["violations"] == ["crown.witness"]
+        assert "RuntimeError: no crown today" in err
+        assert report["checks"] == [
+            {
+                "id": "crown.witness",
+                "status": "fail",
+                "detail": {"error": "RuntimeError", "message": "no crown today"},
+            },
+            {"id": "duality.anti_isomorphism", "status": "pass", "detail": {}},
+        ]
+
+    def test_family_that_fails_to_build_fails_every_check(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken(u):
+            raise RuntimeError("no covers")
+
+        monkeypatch.setattr(bubble, "upper_covers", broken)
+        code, out, _ = run(
+            ["check", "2", "1", "--suite", "order,crown"], tmp_path, monkeypatch, capsys
+        )
+        report = json.loads(out)
+        assert code == 1
+        assert report["violations"] == [
+            "order.axioms",
+            "order.move_closure",
+            "order.shuffle_suborder",
+            "order.covers_match_reduction",
+            "crown.witness",
+        ]
+        assert {c["detail"]["message"] for c in report["checks"]} == {"no covers"}
+
+    def test_galois_above_a_thousand_elements(self, tmp_path, monkeypatch, capsys):
+        code, out, _ = run(["check", "2", "6", "--suite", "galois"], tmp_path, monkeypatch, capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["checks"][0]["detail"] == {"k": 20, "reconstruction": "isomorphic"}
 
 
 class TestHochschildCommand:

@@ -14,7 +14,9 @@ from bubblelattice.galois import (
 )
 from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.labeling import BubbleLabel, lambda_bubble
-from bubblelattice.posets import FinitePoset, is_isomorphic
+from bubblelattice.posets import FinitePoset
+
+from conftest import is_isomorphic
 
 from conftest import splits
 

@@ -8,7 +8,6 @@ from bubblelattice.hochschild import (
     enumerate_triwords,
     hochschild_lattice,
     sigma_tilde,
-    verify_componentwise_realization,
     verify_hochschild_iso,
 )
 from bubblelattice.posets import is_extremal, is_lattice, is_semidistributive
@@ -118,8 +117,8 @@ class TestSigma:
 
 class TestIsomorphism:
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_verify(self, n):
-        assert verify_hochschild_iso(n)
+    def test_verify(self, n, bubble):
+        assert verify_hochschild_iso(bubble(n - 1, 1))
 
     def test_two_element_chains(self, bubble):
         family = bubble(0, 1)
@@ -136,9 +135,6 @@ class TestRealizationHook:
     def test_sigma_vectors_realize_single_y_family(self, bubble):
         family = bubble(3, 1)
         vectors = [sigma_tilde(u, 4).entries for u in family.words]
-        assert verify_componentwise_realization(family.poset, vectors)
-
-    def test_bad_assignment_rejected(self, bubble):
-        family = bubble(1, 1)
-        vectors = [(i,) for i in range(len(family.words))]
-        assert not verify_componentwise_realization(family.poset, vectors)
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                assert all(x <= y for x, y in zip(a, b)) == family.poset.leq(i, j)

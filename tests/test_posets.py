@@ -9,17 +9,13 @@ from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.posets import (
     FinitePoset,
     atoms,
-    canonical_join_rep,
     doubling,
     find_crown,
-    is_anti_isomorphic,
     is_distributive,
     is_extremal,
-    is_isomorphic,
     is_join_semidistributive,
     is_lattice,
     is_meet_semidistributive,
-    is_perspective,
     is_semidistributive,
     is_trim,
     join_irreducibles,
@@ -30,7 +26,7 @@ from bubblelattice.posets import (
     polygonal_intervals,
 )
 
-from conftest import oracle_lattice_tables, oracle_polygonal_intervals, splits
+from conftest import is_isomorphic, oracle_lattice_tables, oracle_polygonal_intervals, splits
 
 
 def chain_poset(k):
@@ -168,6 +164,22 @@ class TestSemidistributivity:
         assert len(join_irreducibles(P)) == len(meet_irreducibles(P))
 
 
+def canonical_joinands(P, p):
+    """The labels of the edges entering p: its canonical join representation."""
+    return frozenset(lambda_jsd(P, (q, p)) for q in P.down_adj[p])
+
+
+def is_perspective(P, e1, e2):
+    """Edges [p, q] and [p2, q2] of a lattice with q v p2 = q2 and
+    q ^ p2 = p, or the same with the two edges exchanged."""
+    join, meet = lattice_tables(P)
+
+    def half(a, b, c, d) -> bool:
+        return join[b, c] == d and meet[b, c] == a
+
+    return half(*e1, *e2) or half(*e2, *e1)
+
+
 class TestJsdLabeling:
     def test_bottom_edge_label(self, bubble):
         family = bubble(2, 1)
@@ -191,14 +203,14 @@ class TestJsdLabeling:
         P = family.poset
         join, _ = lattice_tables(P)
         for p in range(P.n):
-            rep = canonical_join_rep(P, p)
+            rep = canonical_joinands(P, p)
             acc = P.bottom()
             for r in rep:
                 acc = int(join[acc, r])
             assert acc == p
-        assert canonical_join_rep(P, P.bottom()) == frozenset()
+        assert canonical_joinands(P, P.bottom()) == frozenset()
         for j in join_irreducibles(P):
-            assert canonical_join_rep(P, j) == {j}
+            assert canonical_joinands(P, j) == {j}
 
     def test_canonical_rep_refines_irredundant_reps(self, bubble):
         from itertools import combinations
@@ -214,7 +226,7 @@ class TestJsdLabeling:
             return acc
 
         for p in range(P.n):
-            can = canonical_join_rep(P, p)
+            can = canonical_joinands(P, p)
             for size in (1, 2, 3):
                 for xs in combinations(range(P.n), size):
                     if join_all(xs) != p:
@@ -225,11 +237,6 @@ class TestJsdLabeling:
 
 
 class TestPerspectivity:
-    def test_every_edge_self_perspective(self, bubble):
-        P = bubble(2, 1).poset
-        for e in P.edges():
-            assert is_perspective(P, e, e)
-
     def test_label_iff_perspective_to_irreducible_edge(self, bubble):
         P = bubble(2, 1).poset
         for e in P.edges():
@@ -249,15 +256,6 @@ class TestPerspectivity:
                     je = (P.down_adj[j][0], j)
                     if labels[e1] == labels[e2]:
                         assert is_perspective(P, e2, je)
-
-    def test_two_chain_cross_poset(self):
-        # two 3-chains a1<b1<c1 and a2<b2<c2 with cross covers a1<b2, b1<c2:
-        # (a1,b1) is perspective to (b2,c2), while (a2,b2) is isolated
-        a1, b1, c1, a2, b2, c2 = range(6)
-        P = FinitePoset(6, [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a1, b2), (b1, c2)])
-        assert is_perspective(P, (a1, b1), (b2, c2))
-        others = [(a1, b1), (b1, c1), (b2, c2), (a1, b2), (b1, c2)]
-        assert all(not is_perspective(P, (a2, b2), e) for e in others)
 
 
 class TestExtremal:
@@ -360,7 +358,7 @@ class TestIsomorphism:
         assert is_isomorphic(bubble(2, 1).poset, H) is not None
 
     def test_anti_isomorphism_of_dual_families(self, bubble):
-        assert is_anti_isomorphic(bubble(2, 1).poset, bubble(1, 2).poset) is not None
+        assert is_isomorphic(bubble(2, 1).poset, bubble(1, 2).poset.dual()) is not None
         assert is_isomorphic(bubble(2, 1).poset, bubble(1, 2).poset) is None
 
 
@@ -429,38 +427,13 @@ class TestEngineAgainstNaiveDefinitions:
         assert not P.leq_matrix.flags.writeable and P.leq_matrix is P.leq_matrix
 
     @given(random_poset())
-    def test_bound_helpers_match_enumeration(self, data):
-        from bubblelattice.posets import join_of, meet_of
-
-        P, _ = data
-        n = P.n
-        for a in range(n):
-            for b in range(n):
-                uppers = [c for c in range(n) if P.leq(a, c) and P.leq(b, c)]
-                minimal = [c for c in uppers if not any(P.lt(d, c) for d in uppers)]
-                expected = minimal[0] if len(minimal) == 1 and all(
-                    P.leq(minimal[0], c) for c in uppers
-                ) else None
-                assert join_of(P, a, b) == expected
-                lowers = [c for c in range(n) if P.leq(c, a) and P.leq(c, b)]
-                maximal = [c for c in lowers if not any(P.lt(c, d) for d in lowers)]
-                expected = maximal[0] if len(maximal) == 1 and all(
-                    P.leq(c, maximal[0]) for c in lowers
-                ) else None
-                assert meet_of(P, a, b) == expected
-
-    @given(random_poset())
     def test_tables_when_lattice(self, data):
-        from bubblelattice.posets import join_of, meet_of
-
         P, _ = data
         if not is_lattice(P):
             return
         join, meet = lattice_tables(P)
-        for a in range(P.n):
-            for b in range(P.n):
-                assert join[a, b] == join_of(P, a, b)
-                assert meet[a, b] == meet_of(P, a, b)
+        want_join, want_meet = oracle_lattice_tables(P)
+        assert (join == want_join).all() and (meet == want_meet).all()
 
     @given(random_poset(max_n=6))
     def test_length_is_longest_chain(self, data):

@@ -13,11 +13,11 @@ from bubblelattice.errors import (
 )
 from bubblelattice.words import (
     Letter,
+    ShuffleWord,
     SupportProfile,
     count_shuffle,
     dualize,
     enumerate_shuffle,
-    make_word,
     parse_word,
     profile,
     restriction,
@@ -35,30 +35,32 @@ def w(text, m, n):
 
 
 class TestMakeWord:
+    """Construction through the validating ShuffleWord constructor."""
+
     def test_valid_word(self):
-        word = make_word([Letter.x(1), Letter.y(1), Letter.x(2)], 2, 1)
+        word = ShuffleWord((Letter.x(1), Letter.y(1), Letter.x(2)), 2, 1)
         assert word_text(word) == "x1.y1.x2"
 
     def test_empty_word_accepted(self):
-        assert make_word([], 0, 0).letters == ()
+        assert ShuffleWord((), 0, 0).letters == ()
 
     def test_x_out_of_order(self):
         with pytest.raises(NotIncreasing):
-            make_word([Letter.x(2), Letter.x(1)], 2, 0)
+            ShuffleWord((Letter.x(2), Letter.x(1)), 2, 0)
 
     def test_y_out_of_order(self):
         with pytest.raises(NotIncreasing):
-            make_word([Letter.y(2), Letter.x(1), Letter.y(1)], 1, 2)
+            ShuffleWord((Letter.y(2), Letter.x(1), Letter.y(1)), 1, 2)
 
     def test_duplicate(self):
         with pytest.raises(DuplicateLetter):
-            make_word([Letter.x(1), Letter.y(1), Letter.x(1)], 2, 1)
+            ShuffleWord((Letter.x(1), Letter.y(1), Letter.x(1)), 2, 1)
 
     def test_out_of_alphabet(self):
         with pytest.raises(OutOfAlphabet):
-            make_word([Letter.x(3)], 2, 1)
+            ShuffleWord((Letter.x(3),), 2, 1)
         with pytest.raises(OutOfAlphabet):
-            make_word([Letter.y(1)], 2, 0)
+            ShuffleWord((Letter.y(1),), 2, 0)
 
     def test_parse_round_trip(self):
         for text in ["-", "x1", "x1.y1.x2", "y1.x1.x2"]:
