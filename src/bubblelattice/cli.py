@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .bubble import _check_cap, build_bubble_lattice, build_shuffle_poset
+from .bubble import build_bubble_lattice, build_shuffle_poset
 from .checks import SUITE_NAMES, SUITES, check_hochschild, error_result, run_suite
 from .errors import BubbleLatticeError, CapExceeded, OutOfAlphabet
 from .exports import element_table_csv, hasse_dot, sigma_table_csv
@@ -49,9 +49,8 @@ def _resolve_mn(args) -> tuple[int, int]:
 
 def cmd_generate(args) -> int:
     m, n = _resolve_mn(args)
-    _check_cap(m, n, args.cap)
-    outdir = _outdir(args)
     family = build_bubble_lattice(m, n, cap=args.cap)
+    outdir = _outdir(args)
     wrote = []
     if args.csv or not (args.dot or args.json):
         path = outdir / f"bubble_{m}_{n}.csv"
@@ -115,7 +114,6 @@ def build_check_report(m, n, suites, cap=None, timings=False) -> dict:
 
 def cmd_check(args) -> int:
     m, n = _resolve_mn(args)
-    _check_cap(m, n, args.cap)
     if args.suite in (None, "all"):
         suites = list(SUITE_NAMES)
     else:
@@ -134,9 +132,8 @@ def cmd_check(args) -> int:
 
 def cmd_galois(args) -> int:
     m, n = _resolve_mn(args)
-    _check_cap(m, n, args.cap)
-    outdir = _outdir(args)
     family = build_bubble_lattice(m, n, cap=args.cap)
+    outdir = _outdir(args)
     ordering = order_irreducibles(family.poset)
     generic = galois_graph(family.poset, ordering)
     explicit = bubble_galois_explicit(m, n)
@@ -187,9 +184,8 @@ def cmd_hochschild(args) -> int:
 
 def cmd_label(args) -> int:
     m, n = _resolve_mn(args)
-    _check_cap(m, n, args.cap)
-    outdir = _outdir(args)
     family = build_bubble_lattice(m, n, cap=args.cap)
+    outdir = _outdir(args)
     labels = edge_labels(family)
     S = build_label_poset(m, n)
     report = verify_cu_labeling(family.poset, labels, S.leq)

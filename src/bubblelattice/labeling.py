@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .bubble import CoverStep, LatticeFamily, upper_covers
 from .errors import NotACover
 from .posets import (
     Edge,
     FinitePoset,
-    Polygon,
     join_irreducibles,
     lambda_jsd,
     meet_irreducibles,
@@ -189,7 +188,6 @@ def verify_cu_labeling(
     P: FinitePoset,
     labels: Mapping[Edge, object],
     leq: Callable[[object, object], bool],
-    polygons: Optional[list[Polygon]] = None,
 ) -> CUReport:
     """Check CU1-CU5 for an edge labeling against an order on label values.
 
@@ -200,8 +198,7 @@ def verify_cu_labeling(
     meet-irreducibles) carry pairwise distinct labels.
     """
     report = CUReport()
-    if polygons is None:
-        polygons = polygonal_intervals(P)
+    polygons = polygonal_intervals(P)
     report.polygon_count = len(polygons)
 
     def strictly_less(a, b) -> bool:

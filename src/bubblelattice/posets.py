@@ -2,8 +2,8 @@
 
 Elements are 0..n-1.  Reachability is cached as one big-int bitmask per
 element, so order tests are single AND/shift operations; the triple-
-quantified lattice checks (semidistributivity, distributivity, left
-modularity) run over numpy join/meet tables instead.
+quantified lattice checks (distributivity, left modularity) run over numpy
+join/meet tables instead, and semidistributivity is read off kappa.
 """
 
 from __future__ import annotations
@@ -314,25 +314,24 @@ def meet_irreducibles(P: FinitePoset) -> list[int]:
     return [i for i in range(P.n) if len(P.up_adj[i]) == 1]
 
 
+def _kappa(up: Sequence[int], cover: int, j: int) -> Optional[int]:
+    """The greatest element of up[cover] & ~up[j] (its one maximal element),
+    or None; given down-sets and an upper cover, the dual kappa."""
+    excluded = up[cover] & ~up[j]
+    tops = [p for p in _bits(excluded) if up[p] & excluded == 1 << p]
+    return tops[0] if len(tops) == 1 else None
+
+
 def is_join_semidistributive(P: FinitePoset) -> bool:
-    join, meet = _tables(P)
-    return _semidistributive_half(join, meet)
+    """The dual kappa exists for every meet-irreducible (Free Lattices, ch. II)."""
+    _tables(P)  # raises NotALattice on a non-lattice
+    return all(_kappa(P.down, P.up_adj[m][0], m) is not None for m in meet_irreducibles(P))
 
 
 def is_meet_semidistributive(P: FinitePoset) -> bool:
-    join, meet = _tables(P)
-    return _semidistributive_half(meet, join)
-
-
-def _semidistributive_half(op: np.ndarray, dual_op: np.ndarray) -> bool:
-    """p*q = p*r implies p*(q dual r) = p*q, for every p, q, r."""
-    for p in range(len(op)):
-        row = op[p]
-        lhs = row[:, None] == row[None, :]
-        rhs = row[dual_op] == row[:, None]
-        if np.any(lhs & ~rhs):
-            return False
-    return True
+    """kappa exists for every join-irreducible (Free Lattices, ch. II)."""
+    _tables(P)  # raises NotALattice on a non-lattice
+    return all(_kappa(P.up, P.down_adj[j][0], j) is not None for j in join_irreducibles(P))
 
 
 def is_semidistributive(P: FinitePoset) -> bool:
@@ -486,15 +485,14 @@ class CrownWitness:
         return len(self.atoms)
 
 
-def kappa(P: FinitePoset, a: int) -> int:
-    """Greatest element not above a; raises KappaMissing when there is none."""
-    excluded = ((1 << P.n) - 1) & ~P.up[a]
-    if not excluded:
-        raise KappaMissing(f"everything lies above {a}")
-    maximal = [p for p in _bits(excluded) if (P.up[p] & ~(1 << p)) & excluded == 0]
-    if len(maximal) != 1 or excluded & ~P.down[maximal[0]]:
-        raise KappaMissing(f"no greatest element avoids being above {a}")
-    return maximal[0]
+def kappa(P: FinitePoset, j: int) -> int:
+    """Greatest element above the lower cover of the join-irreducible j and
+    not above j; raises KappaMissing when there is none."""
+    (lower,) = P.down_adj[j]  # ValueError unless j is join-irreducible
+    found = _kappa(P.up, lower, j)
+    if found is None:
+        raise KappaMissing(f"no greatest element above {lower} avoids being above {j}")
+    return found
 
 
 def find_crown(P: FinitePoset) -> CrownWitness:
@@ -532,52 +530,38 @@ class Polygon:
         return tuple(zip(c1, c1[1:])), tuple(zip(c2, c2[1:]))
 
 
-def _comparability_components(P: FinitePoset, members: Iterable[int]) -> list[list[int]]:
-    """The connected components of the comparability graph on ``members``."""
-    groups: list[list[int]] = []
-    for e in members:
-        linked = [
-            g
-            for g, grp in enumerate(groups)
-            if any(P.leq(e, f) or P.leq(f, e) for f in grp)
-        ]
-        merged = [e]
-        for g in sorted(linked, reverse=True):
-            merged.extend(groups.pop(g))
-        groups.append(merged)
-    return groups
+def _cover_walk(P: FinitePoset, a: int, q: int, inside: int) -> list[int]:
+    """From a up to q, exclusive, along the first upper cover in ``inside``."""
+    walk = [a]
+    while walk[-1] != q:
+        walk.append(next(c for c in P.up_adj[walk[-1]] if inside >> c & 1))
+    return walk[:-1]
 
 
 def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
     """Intervals that are unions of two chains meeting only at the ends.
 
-    The proper part of such an interval consists of two nonempty chains with
-    no comparabilities across them; the minimal instance is the diamond.
-    The chains start at two covers a and b of the bottom, and a v b is the
-    top (an interior a v b would be comparable to both chains), so only
-    those joins are tried: P must be a lattice, else NotALattice is raised.
+    The chains of a polygon [p, q] start at two upper covers a and b of p,
+    and a v b is q (an interior a v b would be comparable to both chains),
+    so only those joins are tried: P must be a lattice, else NotALattice is
+    raised.  [p, q] is a polygon iff a and b are p's only upper covers in it
+    and the walks from a and b along the unique upper cover inside [p, q]
+    reach q, are disjoint and cover the interior: no x on one walk lies
+    below a y on the other, as y would lie above each later step of x's
+    walk, up to q.  A point on both walks would lie above a v b = q, and a
+    second upper cover inside [p, q] of a point on a walk would lie on
+    neither, so walks along the first such cover test all of this by their
+    lengths summing to the size of the interior.
     """
     join, _ = _tables(P)
     out: list[Polygon] = []
     for p in range(P.n):
         for q in sorted({int(join[a, b]) for a, b in combinations(P.up_adj[p], 2)}):
             inner = (P.up[p] & P.down[q]) & ~((1 << p) | (1 << q))
-            members = list(_bits(inner))
-            if sum(1 for a in P.up_adj[p] if (inner >> a) & 1) != 2:
-                continue
-            groups = _comparability_components(P, members)
-            if len(groups) != 2:
-                continue
-            chains = []
-            for grp in groups:
-                if not all(P.leq(a, b) or P.leq(b, a) for a in grp for b in grp):
-                    chains = None
-                    break
-                chains.append(sorted(grp, key=lambda e: bin(P.down[e] & inner).count("1")))
-            if chains is None:
-                continue
-            chains.sort(key=lambda c: c[0])
-            out.append(Polygon(p, q, ((p, *chains[0], q), (p, *chains[1], q))))
+            starts = [a for a in P.up_adj[p] if (inner >> a) & 1]
+            walks = [_cover_walk(P, a, q, inner | 1 << q) for a in starts]
+            if len(walks) == 2 and len(walks[0]) + len(walks[1]) == inner.bit_count():
+                out.append(Polygon(p, q, ((p, *walks[0], q), (p, *walks[1], q))))
     return out
 
 

@@ -7,17 +7,20 @@ meet functions evaluate the paper's formulas one letter at a time, through
 the public ``restriction``, ``y_fill``, ``word_from_profile`` and
 ``dualize``; the library's bitmask kernel is tested against them.
 ``oracle_lattice_tables`` and ``oracle_polygonal_intervals`` are the
-pair-by-pair table scan and the all-comparable-pairs polygon scan that the
-cover recursion and the join-driven polygon search in ``posets`` replaced.
-``is_isomorphic`` is a backtracking isomorphism search for small posets,
-which the Galois check replaced by Markowsky's canonical map.
+pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
+``_comparability_components``) that the cover recursion and the polygon
+search by single-cover walks in ``posets`` replaced.
+``semidistributive_half`` is the triple scan over the join and meet tables
+that the kappa route to semidistributivity replaced.  ``is_isomorphic`` is
+a backtracking isomorphism search for small posets, which the Galois check
+replaced by Markowsky's canonical map.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from bubblelattice.bubble import LatticeFamily, build_bubble_lattice, build_shuffle_poset
 from bubblelattice.errors import NotALattice, SizeMismatch
-from bubblelattice.posets import FinitePoset, Polygon, _bits, _comparability_components
+from bubblelattice.posets import FinitePoset, Polygon, _bits
 from bubblelattice.words import (
     Letter,
     ShuffleWord,
@@ -177,6 +180,37 @@ def oracle_lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
                 raise NotALattice(f"elements {i} and {j} have two maximal lower bounds")
             meet[i, j] = meet[j, i] = w
     return join, meet
+
+
+def semidistributive_half(op: np.ndarray, dual_op: np.ndarray) -> bool:
+    """p*q = p*r implies p*(q dual r) = p*q, for every p, q, r.
+
+    With (join, meet) this is join-semidistributivity, with (meet, join)
+    meet-semidistributivity.
+    """
+    for p in range(len(op)):
+        row = op[p]
+        lhs = row[:, None] == row[None, :]
+        rhs = row[dual_op] == row[:, None]
+        if np.any(lhs & ~rhs):
+            return False
+    return True
+
+
+def _comparability_components(P: FinitePoset, members: Iterable[int]) -> list[list[int]]:
+    """The connected components of the comparability graph on ``members``."""
+    groups: list[list[int]] = []
+    for e in members:
+        linked = [
+            g
+            for g, grp in enumerate(groups)
+            if any(P.leq(e, f) or P.leq(f, e) for f in grp)
+        ]
+        merged = [e]
+        for g in sorted(linked, reverse=True):
+            merged.extend(groups.pop(g))
+        groups.append(merged)
+    return groups
 
 
 def oracle_polygonal_intervals(P: FinitePoset) -> list[Polygon]:

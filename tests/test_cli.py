@@ -70,6 +70,13 @@ class TestGenerate:
         )
         assert code == 2 and "refused" in err
 
+    @pytest.mark.parametrize("command", ["generate", "galois", "label"])
+    def test_refused_family_creates_no_outdir(self, command, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "D"
+        code, _, err = run([command, "6", "5", "--outdir", str(target)], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "refused" in err
+        assert not target.exists()
+
     def test_covers_json(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run(["generate", "1", "1", "--json"], tmp_path, monkeypatch, capsys)
         assert code == 0

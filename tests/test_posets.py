@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive, SizeMismatch
 from bubblelattice.hochschild import hochschild_lattice
@@ -19,6 +19,7 @@ from bubblelattice.posets import (
     is_semidistributive,
     is_trim,
     join_irreducibles,
+    kappa,
     lambda_jsd,
     lattice_tables,
     left_modular_chain,
@@ -26,7 +27,13 @@ from bubblelattice.posets import (
     polygonal_intervals,
 )
 
-from conftest import is_isomorphic, oracle_lattice_tables, oracle_polygonal_intervals, splits
+from conftest import (
+    is_isomorphic,
+    oracle_lattice_tables,
+    oracle_polygonal_intervals,
+    semidistributive_half,
+    splits,
+)
 
 
 def chain_poset(k):
@@ -133,6 +140,34 @@ class TestIrreducibles:
         assert sorted(join_irreducibles(P)) == [1, 2, 4]
 
 
+def one_sided():
+    # 5 v 3 = 5 v 4 = 6, but 5 v (3 ^ 4) = 5 v 0 = 5: meet-SD only
+    return FinitePoset(
+        7, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]
+    )
+
+
+@st.composite
+def closure_lattices(draw):
+    """An intersection-closed family of random subsets of a ground set of
+    at most 5 points, with the full set, ordered by inclusion: a lattice,
+    often not semidistributive."""
+    full = (1 << draw(st.integers(1, 5))) - 1
+    family = {full}
+    for s in draw(st.lists(st.integers(0, full), max_size=10)):
+        family |= {s & t for t in family}
+    sets = sorted(family)
+    return FinitePoset.from_leq_masks(
+        len(sets), [sum(1 << k for k, t in enumerate(sets) if s & t == s) for s in sets]
+    )
+
+
+def assert_kappa_halves_match_triple_scan(P):
+    join, meet = lattice_tables(P)
+    assert is_join_semidistributive(P) == semidistributive_half(join, meet)
+    assert is_meet_semidistributive(P) == semidistributive_half(meet, join)
+
+
 class TestSemidistributivity:
     def test_bubble_22(self, bubble):
         assert is_semidistributive(bubble(2, 2).poset)
@@ -142,10 +177,7 @@ class TestSemidistributivity:
         assert not is_semidistributive(m3())
 
     def test_one_sided(self):
-        # 5 v 3 = 5 v 4 = 6, but 5 v (3 ^ 4) = 5 v 0 = 5: meet-SD only
-        P = FinitePoset(
-            7, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]
-        )
+        P = one_sided()
         assert is_meet_semidistributive(P) and not is_join_semidistributive(P)
         assert is_join_semidistributive(P.dual()) and not is_meet_semidistributive(P.dual())
 
@@ -154,6 +186,35 @@ class TestSemidistributivity:
 
     def test_n5_is_semidistributive(self):
         assert is_semidistributive(n5())
+
+    @given(closure_lattices())
+    @example(m3())
+    @example(n5())
+    @example(one_sided())
+    @example(one_sided().dual())
+    def test_kappa_against_triple_scan_on_random_lattices(self, P):
+        assert_kappa_halves_match_triple_scan(P)
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_kappa_against_triple_scan_on_bubble(self, m, n, bubble):
+        assert_kappa_halves_match_triple_scan(bubble(m, n).poset)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_kappa_against_triple_scan_on_hochschild(self, n):
+        assert_kappa_halves_match_triple_scan(hochschild_lattice(n)[1])
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+    def test_kappa_is_greatest_above_lower_cover_not_above_j(self, m, n, bubble):
+        P = bubble(m, n).poset
+        for j in join_irreducibles(P):
+            (lower,) = P.down_adj[j]
+            avoid = [x for x in range(P.n) if P.leq(lower, x) and not P.leq(j, x)]
+            greatest = [x for x in avoid if all(P.leq(y, x) for y in avoid)]
+            assert [kappa(P, j)] == greatest
+
+    def test_kappa_needs_a_join_irreducible(self):
+        with pytest.raises(ValueError):
+            kappa(n5(), 4)
 
     @pytest.mark.parametrize(
         "make", [lambda: boolean_poset(3), n5, lambda: chain_poset(3)]
@@ -521,6 +582,13 @@ class TestCoverRecursionAgainstOracles:
             with pytest.raises(NotALattice):
                 lattice_tables(P)
             return
+        assert_matches_oracles(P)
+
+    @given(closure_lattices())
+    # [0, 5] is no polygon: the walk 1 -> 3 -> 5 misses 4, the other upper
+    # cover of 1 inside it
+    @example(FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]))
+    def test_random_lattices(self, P):
         assert_matches_oracles(P)
 
     @pytest.mark.parametrize("m,n", splits(5))
