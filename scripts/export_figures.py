@@ -25,7 +25,7 @@ def main() -> int:
     (outdir / "bubble_2_2.dot").write_text(hasse_dot(build_bubble_lattice(2, 2), "bubble_2_2"))
     (outdir / "galois_2_1.dot").write_text(bubble_galois_explicit(2, 1).to_dot("galois_2_1"))
     (outdir / "galois_2_2.dot").write_text(bubble_galois_explicit(2, 2).to_dot("galois_2_2"))
-    (outdir / "triwords_3.csv").write_text(sigma_table_csv(3))
+    (outdir / "triwords_3.csv").write_text(sigma_table_csv(fam21))
     for path in sorted(outdir.iterdir()):
         print(path)
     return 0

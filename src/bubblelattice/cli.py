@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .bubble import build_bubble_lattice, build_shuffle_poset
+from .bubble import DEFAULT_CAP, build_bubble_lattice, build_shuffle_poset
 from .checks import SUITE_NAMES, SUITES, check_hochschild, error_result, run_suite
 from .errors import BubbleLatticeError, CapExceeded, OutOfAlphabet
 from .exports import element_table_csv, hasse_dot, sigma_table_csv
@@ -28,6 +28,7 @@ from .galois import (
 from .labeling import build_label_poset, edge_labels, verify_cu_labeling
 
 SCHEMA_VERSION = 1
+CAP_HELP = f"max element count (default {DEFAULT_CAP})"
 
 
 def _outdir(args) -> Path:
@@ -166,11 +167,12 @@ def cmd_hochschild(args) -> int:
     n = args.n
     if n is None:
         raise SystemExit("need the tuple length n")
-    result = check_hochschild(build_bubble_lattice(n - 1, 1, cap=args.cap))
+    family = build_bubble_lattice(n - 1, 1, cap=args.cap)
+    result = check_hochschild(family)
     outdir = _outdir(args)
     if args.csv:
         path = outdir / f"triwords_{n}.csv"
-        path.write_text(sigma_table_csv(n))
+        path.write_text(sigma_table_csv(family))
         print(path, file=sys.stderr)
     report = {
         "schema": SCHEMA_VERSION,
@@ -210,7 +212,7 @@ def _add_common(parser, with_n=True) -> None:
         parser.add_argument("n", type=int, nargs="?", help="size of the y-alphabet")
     parser.add_argument("--m", dest="m_flag", type=int, help="alternative to positional m")
     parser.add_argument("--n", dest="n_flag", type=int, help="alternative to positional n")
-    parser.add_argument("--cap", type=int, default=None, help="max element count (default 20000)")
+    parser.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     parser.add_argument("--outdir", default=None, help="output directory (or $BUBBLELATTICE_OUTDIR)")
     parser.add_argument("--dot", action="store_true", help="write DOT files")
     parser.add_argument("--csv", action="store_true", help="write CSV files")
@@ -240,7 +242,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("hochschild", help="triword encoding of single-y lattices")
     p.add_argument("n", type=int, nargs="?", help="tuple length")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.add_argument("--outdir", default=None)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_hochschild)

@@ -35,11 +35,10 @@ def hasse_dot(family: LatticeFamily, name: str, labeled: bool = False) -> str:
     )
 
 
-def sigma_table_csv(n: int) -> str:
-    """Word and triword columns for the single-y encoding."""
-    from .bubble import build_bubble_lattice
-
-    family = build_bubble_lattice(n - 1, 1)
+def sigma_table_csv(family: LatticeFamily) -> str:
+    """Word and triword columns for the single-y family (n-1, 1), whose
+    words encode as triwords of length n."""
+    n = family.m + 1
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["word", "triword"])

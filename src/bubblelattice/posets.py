@@ -439,8 +439,8 @@ def left_modular_chain(
     return None
 
 
-def is_trim(P: FinitePoset, seed_chains: Iterable[Sequence[int]] = ()) -> bool:
-    return is_extremal(P) and left_modular_chain(P, seed_chains) is not None
+def is_trim(P: FinitePoset) -> bool:
+    return is_extremal(P) and left_modular_chain(P) is not None
 
 
 # -- doubling -----------------------------------------------------------------

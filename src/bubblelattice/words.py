@@ -14,10 +14,10 @@ The text encoding used throughout the repo is dotted tokens such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DuplicateLetter,
@@ -56,78 +56,64 @@ class Letter:
         return f"{self.tag}{self.index}"
 
 
-def _validate(letters: Sequence[Letter], m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise OutOfAlphabet(f"alphabet sizes must be nonnegative, got m={m} n={n}")
-    seen = set()
-    last_x = 0
-    last_y = 0
-    for letter in letters:
-        if not isinstance(letter, Letter) or letter.tag not in (X_TAG, Y_TAG):
-            raise WordError(f"not a letter: {letter!r}")
-        bound = m if letter.is_x else n
-        if letter.index < 1 or letter.index > bound:
-            raise OutOfAlphabet(f"{letter} outside alphabet for m={m}, n={n}")
-        if letter in seen:
-            raise DuplicateLetter(f"duplicate letter {letter}")
-        seen.add(letter)
-        if letter.is_x:
-            if letter.index <= last_x:
-                raise NotIncreasing(f"x-letters out of order at {letter}")
-            last_x = letter.index
-        else:
-            if letter.index <= last_y:
-                raise NotIncreasing(f"y-letters out of order at {letter}")
-            last_y = letter.index
-
-
 @dataclass(frozen=True)
 class ShuffleWord:
-    """An immutable shuffle word together with its ambient alphabet sizes."""
+    """An immutable shuffle word together with its ambient alphabet sizes.
+
+    Construction validates the letters and builds ``code`` in one forward
+    walk.  ``code`` is ``(xmask, ymask, rows, cols)``, where bit i stands
+    for index i, ``rows[t]`` masks the x's after y_t (its inversion row)
+    and ``cols[s]`` the y's after x_s (the row in the dual word).
+    """
 
     letters: tuple[Letter, ...]
     m: int
     n: int
+    code: tuple[int, int, tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        _validate(self.letters, self.m, self.n)
+        m, n = self.m, self.n
+        if m < 0 or n < 0:
+            raise OutOfAlphabet(f"alphabet sizes must be nonnegative, got m={m} n={n}")
+        sizes = (m, n)
+        masks = [0, 0]  # the x's and the y's so far
+        # after[0][s] is ~(y's before x_s) and after[1][t] is ~(x's before y_t)
+        after = ([0] * (m + 1), [0] * (n + 1))
+        for letter in self.letters:
+            tag = letter.tag if isinstance(letter, Letter) else None
+            side = 0 if tag == X_TAG else 1 if tag == Y_TAG else None
+            if side is None:
+                raise WordError(f"not a letter: {letter!r}")
+            i = letter.index
+            if i < 1 or i > sizes[side]:
+                raise OutOfAlphabet(f"{letter} outside alphabet for m={m}, n={n}")
+            earlier = masks[side] >> i  # letters of this alphabet with index >= i
+            if earlier:
+                if earlier & 1:
+                    raise DuplicateLetter(f"duplicate letter {letter}")
+                raise NotIncreasing(f"{tag}-letters out of order at {letter}")
+            masks[side] |= 1 << i
+            after[side][i] = ~masks[1 - side]
+        xmask, ymask = masks
+        rows = tuple([xmask & a for a in after[1]])
+        cols = tuple([ymask & a for a in after[0]])
+        object.__setattr__(self, "code", (xmask, ymask, rows, cols))
 
     @cached_property
     def xsupport(self) -> tuple[int, ...]:
-        return tuple(l.index for l in self.letters if l.is_x)
+        return _indices(self.code[0])
 
     @cached_property
     def ysupport(self) -> tuple[int, ...]:
-        return tuple(l.index for l in self.letters if not l.is_x)
+        return _indices(self.code[1])
 
     @cached_property
     def inversions(self) -> frozenset[tuple[int, int]]:
         """Pairs (s, t) such that y_t occurs before x_s in this word."""
-        pairs = []
-        ys_seen: list[int] = []
-        for letter in self.letters:
-            if letter.is_x:
-                pairs.extend((letter.index, t) for t in ys_seen)
-            else:
-                ys_seen.append(letter.index)
-        return frozenset(pairs)
-
-    @cached_property
-    def code(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-        """``(xmask, ymask, rows, cols)``, where bit i stands for index i,
-        ``rows[t]`` masks the x's after y_t (its inversion row) and
-        ``cols[s]`` the y's after x_s (the row in the dual word)."""
-        xmask = ymask = 0
-        rows = [0] * (self.n + 1)
-        cols = [0] * (self.m + 1)
-        for letter in reversed(self.letters):
-            if letter.is_x:
-                cols[letter.index] = ymask
-                xmask |= 1 << letter.index
-            else:
-                rows[letter.index] = xmask
-                ymask |= 1 << letter.index
-        return xmask, ymask, tuple(rows), tuple(cols)
+        rows = self.code[2]
+        return frozenset((s, t) for t in self.ysupport for s in _indices(rows[t]))
 
     @property
     def sort_key(self) -> tuple[tuple[str, int], ...]:
@@ -146,6 +132,11 @@ class ShuffleWord:
 
     def __repr__(self) -> str:
         return f"ShuffleWord({word_text(self)!r}, m={self.m}, n={self.n})"
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def word_text(u: ShuffleWord) -> str:

@@ -5,7 +5,8 @@ cover code paths: words come from subset-plus-interleaving generation and
 order facts from one-step move closures.  The ``oracle_*`` order, join and
 meet functions evaluate the paper's formulas one letter at a time, through
 the public ``restriction``, ``y_fill``, ``word_from_profile`` and
-``dualize``; the library's bitmask kernel is tested against them.
+``dualize``; the library's bitmask kernel is tested against them, and
+``oracle_word_code`` reads a word's code and its views letter by letter.
 ``oracle_lattice_tables`` and ``oracle_polygonal_intervals`` are the
 pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
 ``_comparability_components``) that the cover recursion and the polygon
@@ -102,6 +103,34 @@ def oracle_words(m: int, n: int) -> set[tuple[Letter, ...]]:
                                 yi += 1
                         out.add(tuple(seq))
     return out
+
+
+def oracle_word_code(u: ShuffleWord):
+    """``(xsupport, ysupport, inversions, code)`` read off u letter by letter:
+    the supports in order, the pairs (s, t) with y_t before x_s, and the
+    masks of both supports and of the letters after each y_t and each x_s."""
+    xsupport = tuple(l.index for l in u.letters if l.is_x)
+    ysupport = tuple(l.index for l in u.letters if not l.is_x)
+    inversions = frozenset(
+        (b.index, a.index)
+        for k, a in enumerate(u.letters)
+        for b in u.letters[k + 1:]
+        if not a.is_x and b.is_x
+    )
+    rows = [0] * (u.n + 1)
+    cols = [0] * (u.m + 1)
+    for k, a in enumerate(u.letters):
+        for b in u.letters[k + 1:]:
+            if a.is_x != b.is_x:
+                after = cols if a.is_x else rows
+                after[a.index] |= 1 << b.index
+    code = (
+        sum(1 << s for s in xsupport),
+        sum(1 << t for t in ysupport),
+        tuple(rows),
+        tuple(cols),
+    )
+    return xsupport, ysupport, inversions, code
 
 
 def oracle_leq_shuffle(u: ShuffleWord, v: ShuffleWord) -> bool:

@@ -246,8 +246,21 @@ class TestHochschildCommand:
         report = json.loads(out)
         assert report["violations"] == []
         table = (tmp_path / "triwords_3.csv").read_text()
-        assert table == sigma_table_csv(3)
+        assert table == sigma_table_csv(build_bubble_lattice(2, 1))
         assert "x1.y1.x2,\"(1,1,0)\"" in table
+
+    def test_csv_reuses_the_capped_build(self, tmp_path, monkeypatch, capsys):
+        builds = []
+
+        def recording(m, n, cap=None):
+            builds.append((m, n, cap))
+            return original(m, n, cap=cap)
+
+        original = bubble.build_bubble_lattice
+        replace_everywhere(monkeypatch, original, recording)
+        code, _, _ = run(["hochschild", "4", "--csv", "--cap", "50"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert builds == [(3, 1, 50)]
 
     def test_trivial(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(["hochschild", "1"], tmp_path, monkeypatch, capsys)

@@ -10,6 +10,7 @@ from bubblelattice.errors import (
     NotIncreasing,
     OutOfAlphabet,
     Unrealizable,
+    WordError,
 )
 from bubblelattice.words import (
     Letter,
@@ -27,7 +28,13 @@ from bubblelattice.words import (
     y_fill,
 )
 
-from conftest import oracle_words, random_word, random_word_pair, splits
+from conftest import (
+    oracle_word_code,
+    oracle_words,
+    random_word,
+    random_word_pair,
+    splits,
+)
 
 
 def w(text, m, n):
@@ -65,6 +72,55 @@ class TestMakeWord:
     def test_parse_round_trip(self):
         for text in ["-", "x1", "x1.y1.x2", "y1.x1.x2"]:
             assert word_text(parse_word(text, 2, 1)) == text
+
+
+X, Y = Letter.x, Letter.y
+# letters, m, n -> the exception the constructor raises and its message;
+# the last cases have two faults each, and the first letter's fault wins
+MALFORMED = {
+    "not_a_letter": ((("x1",), 1, 0), WordError, "not a letter: 'x1'"),
+    "bad_tag": (((Letter("z", 1),), 1, 1), WordError, "not a letter: Letter(tag='z', index=1)"),
+    "negative_m": (((), -1, 2), OutOfAlphabet, "alphabet sizes must be nonnegative, got m=-1 n=2"),
+    "negative_n": (((X(1),), 1, -1), OutOfAlphabet, "alphabet sizes must be nonnegative, got m=1 n=-1"),
+    "x_index_zero": (((Letter("x", 0),), 2, 1), OutOfAlphabet, "x0 outside alphabet for m=2, n=1"),
+    "y_index_zero": (((X(1), Letter("y", 0)), 2, 1), OutOfAlphabet, "y0 outside alphabet for m=2, n=1"),
+    "x_above_alphabet": (((X(3),), 2, 1), OutOfAlphabet, "x3 outside alphabet for m=2, n=1"),
+    "y_above_alphabet": (((X(1), Y(1), Y(2)), 2, 1), OutOfAlphabet, "y2 outside alphabet for m=2, n=1"),
+    "x_duplicate": (((X(1), Y(1), X(1)), 2, 1), DuplicateLetter, "duplicate letter x1"),
+    "y_duplicate": (((Y(2), X(1), Y(2)), 1, 2), DuplicateLetter, "duplicate letter y2"),
+    "x_out_of_order": (((X(2), X(1)), 2, 0), NotIncreasing, "x-letters out of order at x1"),
+    "y_out_of_order": (((Y(2), X(1), Y(1)), 1, 2), NotIncreasing, "y-letters out of order at y1"),
+    "order_before_duplicate": (((Y(1), X(2), X(1), Y(1)), 2, 1), NotIncreasing, "x-letters out of order at x1"),
+    "order_before_alphabet": (((X(2), X(1), X(3)), 2, 0), NotIncreasing, "x-letters out of order at x1"),
+    "sizes_before_letters": ((("x1",), -1, 0), OutOfAlphabet, "alphabet sizes must be nonnegative, got m=-1 n=0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_word_error(case):
+    args, kind, message = MALFORMED[case]
+    with pytest.raises(WordError) as exc:
+        ShuffleWord(*args)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+
+
+class TestCode:
+    """``code`` and the views read from it, against a letter-by-letter walk."""
+
+    @staticmethod
+    def views(u):
+        return u.xsupport, u.ysupport, u.inversions, u.code
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_exhaustive(self, m, n):
+        for letters in oracle_words(m, n):
+            u = ShuffleWord(letters, m, n)
+            assert self.views(u) == oracle_word_code(u)
+
+    @given(random_word(max_m=12, max_n=12))
+    def test_large_alphabets(self, u):
+        assert self.views(u) == oracle_word_code(u)
 
 
 # Frozen 12-row table for the (2,1) family: word and inversion set.
