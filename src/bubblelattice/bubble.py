@@ -5,7 +5,8 @@ x-letters; the bubble order additionally allows swapping an adjacent
 ``x y`` pair into ``y x``.  Covers in the bubble order are generated
 constructively (per-letter right indels and transpositions) rather than by
 transitive reduction.  Both orders, joins (the y-filling formula) and meets
-(its dual) run on the bitmask code of ``ShuffleWord.code``.
+(its dual) run on the bitmask code of ``ShuffleWord.code``, per pair or, in
+``filling_tables``, as numpy rows of the join and meet tables.
 """
 
 from __future__ import annotations
@@ -164,6 +165,68 @@ def _filled_union(u, keep, fixed, u_has, u_rows, v_has, v_rows, mover) -> Shuffl
             movers.append((mover(t), ((fu | fv) & keep).bit_count()))
     kept = [fixed(s) for s in range(1, keep.bit_length()) if keep >> s & 1]
     return ShuffleWord(_place(kept, movers), u.m, u.n)
+
+
+_BLOCK_ENTRIES = 4096  # table entries per block of ``filling_tables``
+
+
+def filling_tables(words: Sequence[ShuffleWord]):
+    """Yield ``(lo, join_rows, meet_rows)``: rows lo.. of the join and meet
+    tables of ``words`` by the y-filling formula, read from ``ShuffleWord.code``.
+
+    Entry [a - lo, b] is the index in ``words`` of ``join(words[a], words[b])``
+    (resp. ``meet``), or -1 where that word is not in ``words``.  Each word's
+    mover rows are filled by the slot rule of ``_filled_union``; the union of
+    two filled words is packed into an int64 key and looked up among the keys
+    of ``words``.  The meet is the join with x and y exchanged, on ``cols``.
+    Blocks hold about ``_BLOCK_ENTRIES`` entries, so no N x N table is built.
+    """
+    import numpy as np
+
+    count = len(words)
+    if not count:
+        return
+    codes = [w.code for w in words]
+    xs = np.array([c[0] for c in codes], dtype=np.int64)
+    ys = np.array([c[1] for c in codes], dtype=np.int64)
+    sides = []
+    for fixed, movers, part in ((xs, ys, 2), (ys, xs, 3)):
+        rows = np.array([c[part] for c in codes], dtype=np.int64).reshape(count, -1)
+        filled = rows.copy()
+        for t in range(rows.shape[1] - 2, 0, -1):
+            missing = (movers >> t & 1) == 0
+            filled[missing, t] = filled[missing, t + 1]
+        width = int(np.bitwise_or.reduce(fixed, initial=0)).bit_length()
+        keys = _union_keys(fixed, movers, rows, rows, width)  # a word is its own union
+        order = np.argsort(keys)
+        sides.append((fixed, movers, filled, width, keys[order], order))
+    step = max(1, _BLOCK_ENTRIES // count)
+    for lo in range(0, count, step):
+        found = []
+        for fixed, movers, filled, width, keys, order in sides:
+            block = slice(lo, lo + step)
+            union = _union_keys(
+                fixed[block, None] & fixed, movers[block, None] | movers,
+                filled[block, None], filled, width,
+            )
+            pos = np.searchsorted(keys, union).clip(max=count - 1)
+            found.append(np.where(keys[pos] == union, order[pos], -1))
+        yield lo, found[0], found[1]
+
+
+def _union_keys(keep, present, first, second, width):
+    """The int64 key of the word with fixed letters ``keep``, movers
+    ``present`` and mover t inverted with ``(first | second)[..., t] & keep``:
+    the masks and rows side by side, ``width`` bits per fixed-letter mask."""
+    shift = width + second.shape[-1]
+    if shift + width * (second.shape[-1] - 1) > 63:
+        raise ValueError("family too large for int64 word keys")
+    key = keep | present << width
+    for t in range(1, second.shape[-1]):
+        row = (first[..., t] | second[..., t]) & keep & -(present >> t & 1)
+        key |= row << shift
+        shift += width
+    return key
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import posets
 from .bubble import (
     LatticeFamily,
     build_bubble_lattice,
     extremal_chain_words,
-    join,
-    meet,
+    filling_tables,
     same_support_interval,
 )
 from .errors import BubbleLatticeError, CapExceeded
@@ -37,7 +38,7 @@ from .labeling import (
     lambda_bubble,
     verify_cu_labeling,
 )
-from .posets import FinitePoset, _bits, _masks
+from .posets import FinitePoset, _bits, _masks, _packed
 from .words import ShuffleWord, dualize, y_fill
 
 @dataclass
@@ -58,6 +59,17 @@ def _result(check_id: str, ok: bool, detail: Optional[dict] = None) -> CheckResu
 def error_result(check_id: str, exc: Exception) -> CheckResult:
     """The failure entry of a check that raised instead of answering."""
     return CheckResult(check_id, "fail", {"error": type(exc).__name__, "message": str(exc)})
+
+
+def _witness(words, bad: np.ndarray, lo: int = 0) -> dict:
+    """``{"witness": [u, v]}`` for the first true entry of the pair matrix
+    ``bad`` in row-major order, whose row a stands for word lo + a and
+    column b for word b; ``{}`` when there is none."""
+    hits = np.flatnonzero(bad)
+    if not len(hits):
+        return {}
+    a, b = divmod(int(hits[0]), bad.shape[1])
+    return {"witness": [str(words[lo + a]), str(words[b])]}
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -122,13 +134,16 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
 
 
 def check_move_closure(family: LatticeFamily) -> CheckResult:
-    ok = _move_closure(family) == _masks(family.relations[0])
-    return _result("order.move_closure", ok)
+    rel = family.relations[0]
+    closure = np.unpackbits(_packed(_move_closure(family)), axis=1, bitorder="little")
+    bad = closure[:, : len(rel)].astype(bool) != rel
+    return _result("order.move_closure", not bad.any(), _witness(family.words, bad))
 
 
 def check_shuffle_suborder(family: LatticeFamily) -> CheckResult:
     bubble, shuffle = family.relations
-    return _result("order.shuffle_suborder", not (shuffle & ~bubble).any())
+    bad = shuffle & ~bubble
+    return _result("order.shuffle_suborder", not bad.any(), _witness(family.words, bad))
 
 
 def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
@@ -140,17 +155,17 @@ def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
 
 def check_unique_joins(family: LatticeFamily) -> CheckResult:
     """The certified join and meet tables (NotALattice on two minimal upper
-    bounds) equal the filling formula; the first failing pair is the witness."""
+    bounds) equal the filling formula, compared block by block on the pairs
+    a <= b; the first failing pair in row-major order is the witness."""
     join_table, meet_table = posets.lattice_tables(family.poset)
     words = family.words
     detail = {"failing_pairs": 0}
-    for a, u in enumerate(words):
-        joins, meets = join_table[a].tolist(), meet_table[a].tolist()
-        for b in range(a, len(words)):
-            bad = (words[joins[b]] != join(u, words[b])) + (words[meets[b]] != meet(u, words[b]))
-            if bad and "witness" not in detail:
-                detail["witness"] = [str(u), str(words[b])]
-            detail["failing_pairs"] += bad
+    for lo, joins, meets in filling_tables(words):
+        rows = slice(lo, lo + len(joins))
+        bad = np.triu((joins != join_table[rows]).astype(np.int64) + (meets != meet_table[rows]), lo)
+        if "witness" not in detail:
+            detail.update(_witness(words, bad, lo))
+        detail["failing_pairs"] += int(bad.sum())
     return _result("lattice.unique_joins", not detail["failing_pairs"], detail)
 
 
@@ -189,7 +204,7 @@ def check_semidistributive_trim(family: LatticeFamily) -> CheckResult:
     sd = posets.is_semidistributive(P)
     # trim on the paper's own chain: a search for another chain would hide a wrong one
     seed = [family.index(w) for w in extremal_chain_words(family.m, family.n)]
-    trim = posets.is_extremal(P) and posets.left_modular_chain(P, [seed]) == seed
+    trim = posets.is_extremal(P) and posets.is_left_modular_chain(P, seed)
     return _result(
         "lattice.semidistributive_trim", sd and trim, {"semidistributive": sd, "trim": trim}
     )
@@ -213,17 +228,17 @@ def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
 
 
 def check_yfill_closure(family: LatticeFamily) -> CheckResult:
-    import numpy as np
-
+    """y_fill is a closure operator whose fixed points are the words with
+    every y.  The witness is a pair (u, v) where a law fails: v = y_fill(u)
+    and u's own laws fail, or u <= v and y_fill(u) is not below y_fill(v)."""
     rel = family.relations[0]
-    fill = [family.index(y_fill(u)) for u in family.words]
-    ok = all(fill[f] == f for f in fill)  # idempotent
-    ok = ok and all(rel[i, f] for i, f in enumerate(fill))  # extensive
-    ok = ok and not (rel & ~rel[np.ix_(fill, fill)]).any()  # monotone
-    closed_ok = all(
-        (f == i) == (len(family.words[i].ysupport) == family.n) for i, f in enumerate(fill)
-    )
-    return _result("lattice.yfill_closure", ok and closed_ok)
+    fill = np.array([family.index(y_fill(u)) for u in family.words], dtype=np.intp)
+    full = np.array([len(u.ysupport) == family.n for u in family.words], dtype=bool)
+    own = np.arange(len(fill))
+    broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)
+    bad = rel & ~rel[np.ix_(fill, fill)]  # monotone
+    bad[own[broken], fill[broken]] = True  # idempotent, extensive, closed on full words
+    return _result("lattice.yfill_closure", not bad.any(), _witness(family.words, bad))
 
 
 def check_cu_labeling(family: LatticeFamily) -> CheckResult:

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Hashable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import NotExtremal
 from .labeling import BubbleLabel
 from .posets import (
     FinitePoset,
+    _masks,
     is_extremal,
     join_irreducibles,
     lattice_tables,
@@ -25,6 +28,7 @@ from .posets import (
 )
 
 Vertex = Hashable
+_BLOCK_ENTRIES = 1 << 20  # subset tests per block: bounds the int64 temporary
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,12 @@ def max_orthogonal_pairs(G: GaloisGraph) -> OrthogonalPairs:
     for ext in ordered:
         intent = [v for v in range(k) if ext & ~compat[v] == 0 and not (ext >> v) & 1]
         pairs.append((names(ext), tuple(verts[v] for v in intent)))
-    poset = FinitePoset.from_leq(
-        len(ordered), lambda i, j: ordered[i] & ~ordered[j] == 0
-    )
-    return OrthogonalPairs(tuple(pairs), poset)
+    # extent i lies below extent j iff it is a subset; int64 holds k <= 63 bits
+    masks = np.array(ordered, dtype=np.int64 if k < 64 else object)
+    step = max(1, _BLOCK_ENTRIES // len(ordered))
+    ups = [
+        up
+        for lo in range(0, len(ordered), step)
+        for up in _masks((masks[lo:lo + step, None] & ~masks) == 0)
+    ]
+    return OrthogonalPairs(tuple(pairs), FinitePoset.from_leq_masks(len(ordered), ups))

@@ -387,6 +387,16 @@ def is_left_modular_element(P: FinitePoset, p: int) -> bool:
     return bool(np.all((lhs == rhs) | ~lt))
 
 
+def is_left_modular_chain(P: FinitePoset, chain: Sequence[int]) -> bool:
+    """Whether ``chain`` is a chain of covers of full length whose elements
+    are all left-modular; the cheap tests run first."""
+    return (
+        len(chain) == P.length() + 1
+        and all(b in P.up_adj[a] for a, b in zip(chain, chain[1:]))
+        and all(is_left_modular_element(P, i) for i in chain)
+    )
+
+
 def left_modular_chain(
     P: FinitePoset, seed_chains: Iterable[Sequence[int]] = ()
 ) -> Optional[list[int]]:
@@ -396,6 +406,10 @@ def left_modular_chain(
     walks the sub-DAG of elements lying on some maximum chain, memoizing the
     per-element left-modularity test.  Seed chains are tried first.
     """
+    for chain in seed_chains:
+        if is_left_modular_chain(P, chain):
+            return list(chain)
+
     k = P.length()
     lm_cache: dict[int, bool] = {}
 
@@ -403,14 +417,6 @@ def left_modular_chain(
         if i not in lm_cache:
             lm_cache[i] = is_left_modular_element(P, i)
         return lm_cache[i]
-
-    for chain in seed_chains:
-        if len(chain) != k + 1:
-            continue
-        if all(b in P.up_adj[a] for a, b in zip(chain, chain[1:])) and all(
-            lm(i) for i in chain
-        ):
-            return list(chain)
 
     on_max = [
         i for i in range(P.n) if P.height_below[i] + P.depth_above[i] == k

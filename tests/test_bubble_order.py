@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
-from bubblelattice import posets
+from bubblelattice import bubble as bubble_module
+from bubblelattice import checks, posets
 from bubblelattice.bubble import (
     build_bubble_lattice,
     extremal_chain_words,
+    filling_tables,
     join,
     leq_bubble,
     leq_shuffle,
@@ -255,6 +258,73 @@ class TestKernelAgainstOracle:
             op(w("x1", 2, 1), w("x1", 2, 2))
         with pytest.raises(ValueError):
             op(w("y1", 1, 1), w("y1", 2, 1))
+
+
+def table_rows(words):
+    """The join and meet tables of ``filling_tables``, its blocks stacked."""
+    blocks = list(filling_tables(words))
+    assert [lo for lo, _, _ in blocks] == list(range(0, len(words), len(blocks[0][1])))
+    return np.vstack([j for _, j, _ in blocks]), np.vstack([mt for _, _, mt in blocks])
+
+
+class TestFillingTables:
+    """The closed-form table rows against the word-level join and meet (the
+    oracle) and against the certified cover-recursion tables."""
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_equal_word_level_join_meet(self, m, n, bubble):
+        words = bubble(m, n).words
+        joins, meets = table_rows(words)
+        assert [[words[i] for i in row] for row in joins.tolist()] == [
+            [join(u, v) for v in words] for u in words
+        ]
+        assert [[words[i] for i in row] for row in meets.tolist()] == [
+            [meet(u, v) for v in words] for u in words
+        ]
+
+    @pytest.mark.parametrize("m,n", splits(7))
+    def test_equal_lattice_tables(self, m, n, bubble):
+        joins, meets = table_rows(bubble(m, n).words)
+        join_table, meet_table = posets.lattice_tables(bubble(m, n).poset)
+        assert np.array_equal(joins, join_table) and np.array_equal(meets, meet_table)
+
+    @given(random_word_pair(max_m=5, max_n=5))
+    def test_word_lists_beyond_a_family(self, pair):
+        u, v = pair
+        words = [u, v, join(u, v), meet(u, v)]
+        joins, meets = table_rows(words)
+        assert words[joins[0, 1]] == words[2] and words[meets[0, 1]] == words[3]
+
+    def test_missing_word_gives_minus_one(self, bubble):
+        words = bubble(2, 1).words
+        for dropped in range(len(words)):
+            kept = words[:dropped] + words[dropped + 1:]
+            joins, meets = table_rows(kept)
+            for op, table in ((join, joins), (meet, meets)):
+                expected = [
+                    [kept.index(op(u, v)) if op(u, v) in kept else -1 for v in kept] for u in kept
+                ]
+                assert table.tolist() == expected
+
+    def test_keys_wider_than_int64_refused(self):
+        with pytest.raises(ValueError):
+            list(filling_tables([parse_word("x1.x2.x3.x4.x5.x6.x7", 7, 7)]))
+
+    @pytest.mark.parametrize("corrupt", [lambda key: key | 1 << 62, lambda key: ~key])
+    def test_corrupted_key_is_a_failing_pair(self, corrupt, bubble, monkeypatch):
+        original = bubble_module._union_keys
+
+        def mutant(keep, *args):
+            key = original(keep, *args)
+            return corrupt(key) if keep.ndim == 2 else key  # the family's own keys stay
+
+        monkeypatch.setattr(bubble_module, "_union_keys", mutant)
+        family = bubble(2, 2)
+        result = checks.check_unique_joins(family)
+        count = len(family.words)
+        assert result.status == "fail"
+        assert result.detail["failing_pairs"] == count * (count + 1)
+        assert result.detail["witness"] == [str(family.words[0])] * 2
 
 
 class TestFamilies:

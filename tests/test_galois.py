@@ -212,6 +212,46 @@ class TestOrthogonalPairs:
         assert is_isomorphic(mop.poset, H) is not None
 
 
+def assert_subset_order(G):
+    """The extents are ordered as by the pairwise subset test."""
+    mop = max_orthogonal_pairs(G)
+    extents = [set(a) for a, _ in mop.pairs]
+    oracle = FinitePoset.from_leq(len(extents), lambda i, j: extents[i] <= extents[j])
+    assert mop.poset.edges() == oracle.edges()
+
+
+def galois_of(P):
+    return galois_graph(P, order_irreducibles(P))
+
+
+class TestExtentOrder:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bubble_galois_explicit(2, 1),
+            lambda: bubble_galois_explicit(2, 2),
+            lambda: bubble_galois_explicit(3, 0),
+            lambda: GaloisGraph(tuple(range(4)), frozenset()),
+            lambda: GaloisGraph((), frozenset()),
+            lambda: galois_of(chain_poset(4)),
+            lambda: galois_of(boolean_poset(3)),
+            lambda: galois_of(hochschild_lattice(4)[1]),
+        ],
+    )
+    def test_fixtures(self, make):
+        assert_subset_order(make())
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_bubble_families(self, m, n, bubble):
+        assert_subset_order(galois_of(bubble(m, n).poset))
+
+    def test_more_than_63_vertices(self):
+        k = 70
+        arcs = frozenset((a, b) for a in range(k) for b in range(k) if a != b)
+        mop = max_orthogonal_pairs(GaloisGraph(tuple(range(k)), arcs))
+        assert mop.poset.edges() == [(0, 1)]
+
+
 class TestExports:
     def test_dot(self):
         G = bubble_galois_explicit(1, 1)

@@ -58,8 +58,18 @@ def galois_pair_arcs_reversed(original):
     return mutant
 
 
+def union_without_second_rows(original):
+    """The closed-form join and meet with the second word's filled rows taken
+    as empty.  The family's own keys (a word's union with itself) stay right."""
+
+    def mutant(keep, present, first, second, width):
+        return original(keep, present, first, np.zeros_like(second), width)
+
+    return mutant
+
+
 def join_without_second_rows(original):
-    """The join with the second word's inversion rows taken as empty."""
+    """The word-level join with the second word's inversion rows taken as empty."""
 
     def mutant(u, v):
         (ux, uy, urows, _), (vx, vy, vrows, _) = u.code, v.code
@@ -131,8 +141,8 @@ MUTANTS = {
         {"galois.graphs_coincide"},
     ),
     "join_drops_second_rows": (
-        lambda: bubble.join,
-        join_without_second_rows,
+        lambda: bubble._union_keys,
+        union_without_second_rows,
         {"lattice.unique_joins"},
     ),
     "pair_label_reversed": (
@@ -172,19 +182,93 @@ def test_mutant_is_caught(mutant, m, n, monkeypatch, capsys):
     assert guards <= set(report["violations"])
 
 
+def first_table_mismatch(family):
+    """The first pair a <= b, row-major, where ``filling_tables`` disagrees
+    with the certified tables, and the number of disagreements."""
+    join_table, meet_table = posets.lattice_tables(family.poset)
+    ws, first, count = family.words, None, 0
+    for lo, joins, meets in bubble.filling_tables(ws):
+        for a in range(lo, lo + len(joins)):
+            for b in range(a, len(ws)):
+                bad = int(joins[a - lo, b] != join_table[a, b]) + int(meets[a - lo, b] != meet_table[a, b])
+                if bad and first is None:
+                    first = [str(ws[a]), str(ws[b])]
+                count += bad
+    return first, count
+
+
 def test_unique_joins_witness_is_the_first_failing_pair(monkeypatch, capsys):
-    original = bubble.join
-    mutant = join_without_second_rows(original)
-    replace_everywhere(monkeypatch, original, mutant)
+    original = bubble._union_keys
+    replace_everywhere(monkeypatch, original, union_without_second_rows(original))
     assert main(["check", "2", "2", "--suite", "lattice"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     detail = next(c["detail"] for c in checks if c["id"] == "lattice.unique_joins")
-    ws = build_bubble_lattice(2, 2).words
-    first = next(
-        [str(u), str(v)]
-        for a, u in enumerate(ws)
-        for v in ws[a:]
-        if mutant(u, v) != original(u, v)
-    )
+    first, count = first_table_mismatch(build_bubble_lattice(2, 2))
     assert detail["witness"] == first
-    assert detail["failing_pairs"] > 0
+    assert detail["failing_pairs"] == count > 0
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+def test_word_level_join_fault_disagrees_with_the_tables(m, n):
+    """The same fault in ``bubble.join`` is caught by the table route, against
+    which ``tests/test_bubble_order.py`` checks the word-level join."""
+    family = build_bubble_lattice(m, n)
+    ws = family.words
+    faulty = join_without_second_rows(bubble.join)
+    differs = sum(
+        faulty(ws[a], ws[b]) != ws[joins[a - lo, b]]
+        for lo, joins, _ in bubble.filling_tables(ws)
+        for a in range(lo, lo + len(joins))
+        for b in range(len(ws))
+    )
+    assert differs > 0
+
+
+def test_trim_check_runs_no_chain_search(monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("left_modular_chain called")
+
+    replace_everywhere(monkeypatch, posets.left_modular_chain, no_search)
+    assert main(["check", "2", "2", "--suite", "lattice"]) == 0
+    capsys.readouterr()
+    replace_everywhere(monkeypatch, bubble.extremal_chain_words, chain_reversed(bubble.extremal_chain_words))
+    assert main(["check", "2", "2", "--suite", "lattice"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == ["lattice.semidistributive_trim"]
+
+
+def check_detail(argv, check_id, capsys):
+    assert main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return next(c["detail"] for c in checks if c["id"] == check_id)
+
+
+def test_move_closure_witness(monkeypatch, capsys):
+    original = bubble.order_relations
+    replace_everywhere(monkeypatch, original, relation_without_rows(original))
+    detail = check_detail(["check", "2", "2", "--suite", "order"], "order.move_closure", capsys)
+    family = build_bubble_lattice(2, 2)
+    u, v = (words.parse_word(t, 2, 2) for t in detail["witness"])
+    mutated = bubble.order_relations(family.words)[0]
+    assert mutated[family.index(u), family.index(v)] != bubble.leq_bubble(u, v)
+
+
+def test_shuffle_suborder_witness(monkeypatch, capsys):
+    original = bubble.order_relations
+
+    def everything_shuffle_below(ws):
+        bub, shuffle = original(ws)
+        return bub, np.ones_like(shuffle)
+
+    replace_everywhere(monkeypatch, original, everything_shuffle_below)
+    detail = check_detail(["check", "2", "2", "--suite", "order"], "order.shuffle_suborder", capsys)
+    ws = build_bubble_lattice(2, 2).words
+    first = next([str(u), str(v)] for u in ws for v in ws if not bubble.leq_bubble(u, v))
+    assert detail["witness"] == first
+
+
+def test_yfill_closure_witness(monkeypatch, capsys):
+    replace_everywhere(monkeypatch, words.y_fill, lambda u: u)  # never closes
+    detail = check_detail(["check", "2", "2", "--suite", "lattice"], "lattice.yfill_closure", capsys)
+    first = next(u for u in build_bubble_lattice(2, 2).words if len(u.ysupport) < 2)
+    assert detail["witness"] == [str(first)] * 2
