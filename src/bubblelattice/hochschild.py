@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bubble import LatticeFamily
 from .errors import InvalidTriword, WrongFamily
-from .posets import FinitePoset
+from .posets import FinitePoset, _masks
 from .words import ShuffleWord
 
 
@@ -65,11 +67,9 @@ def enumerate_triwords(n: int) -> tuple[Triword, ...]:
 def hochschild_lattice(n: int) -> tuple[tuple[Triword, ...], FinitePoset]:
     """Triwords of length n under the componentwise order."""
     tris = enumerate_triwords(n)
-    poset = FinitePoset.from_leq(
-        len(tris),
-        lambda i, j: all(a <= b for a, b in zip(tris[i].entries, tris[j].entries)),
-    )
-    return tris, poset
+    entries = np.array([t.entries for t in tris], dtype=np.int8)
+    leq = (entries[:, None] <= entries[None]).all(axis=-1)
+    return tris, FinitePoset.from_leq_masks(len(tris), _masks(leq))
 
 
 def sigma_tilde(u: ShuffleWord, n: int) -> Triword:

@@ -239,37 +239,48 @@ def _masks(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _bound_table(topo: Sequence[int], covers, up: Sequence[int], bound: str, least: str) -> np.ndarray:
+# entries per row block when a finished table's positions become ids, so the
+# only temporary of that step is one small block, not a second N x N array
+_ID_BLOCK = 1 << 16
+
+
+def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, least: str) -> np.ndarray:
     """The join table, each row built from the rows of the upper covers.
 
     Rows are filled in reverse ``topo`` order.  Off the down-set of i, the
     upper bounds of i and j are those of c v j over the covers c of i, so
     i v j is the candidate w of least topological position, once w is shown
-    below every candidate: c v w = c v j for each c.  Given the reversed
-    order, lower covers and down-sets, the same walk builds the meet table.
+    below every candidate: c v w = c v j for each c.  While the rows are
+    built their entries are ``topo`` positions, so the least candidate is a
+    plain min over the cover rows; the finished table is turned into
+    element ids in place.  Given the reversed order, lower covers and
+    up-sets, the same walk builds the meet table.
     """
     n = len(topo)
     order = np.array(topo, dtype=np.int32)
-    pos = np.empty(n, dtype=np.int32)
-    pos[order] = np.arange(n, dtype=np.int32)
-    bits = _packed(up)
+    packed = _packed(down)
     table = np.empty((n, n), dtype=np.int32)
-    for i in reversed(topo):
-        below = (bits[:, i >> 3] >> (i & 7)) & 1 == 1
+    for k in range(n - 1, -1, -1):
+        i = topo[k]
+        below = np.unpackbits(packed[i], count=n, bitorder="little").view(bool)
         if not covers[i]:
             if not below.all():
                 raise NotALattice(f"elements {i} and {int(np.argmin(below))} have no {bound} bound")
-            table[i] = i
+            table[i] = k
             continue
-        rows = table[list(covers[i])]
-        best = order[pos[rows].min(axis=0)]
-        failed = ~((np.take(rows, best, axis=1) == rows).all(axis=0) | below)
+        rows = table.take(covers[i], axis=0)
+        best = rows.min(axis=0)
+        failed = ~((rows.take(order.take(best), axis=1) == rows).all(axis=0) | below)
         if failed.any():
             raise NotALattice(
                 f"elements {i} and {int(np.argmax(failed))} have two {least} {bound} bounds"
             )
-        best[below] = i
+        best[below] = k
         table[i] = best
+    step = max(1, _ID_BLOCK // max(n, 1))
+    for start in range(0, n, step):
+        block = table[start : start + step]
+        block[...] = order.take(block)
     return table
 
 
@@ -277,8 +288,8 @@ def _tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     cached = P.__dict__.get("_lattice_tables")
     if cached is not None:
         return cached
-    join = _bound_table(P.topo, P.up_adj, P.up, "upper", "minimal")
-    meet = _bound_table(P.topo[::-1], P.down_adj, P.down, "lower", "maximal")
+    join = _bound_table(P.topo, P.up_adj, P.down, "upper", "minimal")
+    meet = _bound_table(P.topo[::-1], P.down_adj, P.up, "lower", "maximal")
     join.flags.writeable = False
     meet.flags.writeable = False
     P.__dict__["_lattice_tables"] = (join, meet)
@@ -379,12 +390,22 @@ def is_extremal(P: FinitePoset) -> bool:
     return k == nj == nm
 
 
-def is_left_modular_element(P: FinitePoset, p: int) -> bool:
+def _left_modular_test(P: FinitePoset) -> Callable[[int], bool]:
+    """The left-modularity test of one element, with the tables and the
+    pairs r, q that are not r < q read once for all the elements tested."""
     join, meet = _tables(P)
-    lt = P.leq_matrix & ~np.eye(P.n, dtype=bool)
-    lhs = meet[join[:, p]]                               # (r ∨ p) ∧ q
-    rhs = join[np.arange(P.n)[:, None], meet[p][None, :]]  # r ∨ (p ∧ q)
-    return bool(np.all((lhs == rhs) | ~lt))
+    not_lt = ~P.leq_matrix | np.eye(P.n, dtype=bool)
+
+    def test(p: int) -> bool:
+        lhs = meet.take(join[:, p], axis=0)  # (r ∨ p) ∧ q
+        rhs = join.take(meet[p], axis=1)     # r ∨ (p ∧ q)
+        return bool(((lhs == rhs) | not_lt).all())
+
+    return test
+
+
+def is_left_modular_element(P: FinitePoset, p: int) -> bool:
+    return _left_modular_test(P)(p)
 
 
 def is_left_modular_chain(P: FinitePoset, chain: Sequence[int]) -> bool:
@@ -393,29 +414,24 @@ def is_left_modular_chain(P: FinitePoset, chain: Sequence[int]) -> bool:
     return (
         len(chain) == P.length() + 1
         and all(b in P.up_adj[a] for a, b in zip(chain, chain[1:]))
-        and all(is_left_modular_element(P, i) for i in chain)
+        and all(map(_left_modular_test(P), chain))
     )
 
 
-def left_modular_chain(
-    P: FinitePoset, seed_chains: Iterable[Sequence[int]] = ()
-) -> Optional[list[int]]:
+def left_modular_chain(P: FinitePoset) -> Optional[list[int]]:
     """A maximum-length maximal chain of left-modular elements, if one exists.
 
     Candidate chains are exactly the chains of full length, so the search
     walks the sub-DAG of elements lying on some maximum chain, memoizing the
-    per-element left-modularity test.  Seed chains are tried first.
+    per-element left-modularity test.
     """
-    for chain in seed_chains:
-        if is_left_modular_chain(P, chain):
-            return list(chain)
-
     k = P.length()
+    is_left_modular = _left_modular_test(P)
     lm_cache: dict[int, bool] = {}
 
     def lm(i: int) -> bool:
         if i not in lm_cache:
-            lm_cache[i] = is_left_modular_element(P, i)
+            lm_cache[i] = is_left_modular(i)
         return lm_cache[i]
 
     on_max = [

@@ -10,7 +10,7 @@ from bubblelattice.hochschild import (
     sigma_tilde,
     verify_hochschild_iso,
 )
-from bubblelattice.posets import is_extremal, is_lattice, is_semidistributive
+from bubblelattice.posets import FinitePoset, is_extremal, is_lattice, is_semidistributive
 from bubblelattice.words import parse_word
 
 
@@ -76,6 +76,15 @@ class TestLattice:
                 if x != y
             ]
             assert len(diffs) == 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_order_equals_componentwise_lambda(self, n):
+        tris, P = hochschild_lattice(n)
+        Q = FinitePoset.from_leq(
+            len(tris),
+            lambda i, j: all(a <= b for a, b in zip(tris[i].entries, tris[j].entries)),
+        )
+        assert P.edges() == Q.edges()
 
 
 # the encoding table for tuple length 3, one row per word of the (2,1) family

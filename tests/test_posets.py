@@ -1,9 +1,12 @@
 """Generic poset engine: lattices, irreducibles, labels, crowns, doubling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bubblelattice.bubble import extremal_chain_words
 from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive, SizeMismatch
 from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.posets import (
@@ -15,6 +18,8 @@ from bubblelattice.posets import (
     is_extremal,
     is_join_semidistributive,
     is_lattice,
+    is_left_modular_chain,
+    is_left_modular_element,
     is_meet_semidistributive,
     is_semidistributive,
     is_trim,
@@ -348,6 +353,24 @@ class TestTrim:
         chain = left_modular_chain(P)
         assert chain is not None and len(chain) == P.length() + 1
 
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_chain_test_is_the_element_tests(self, m, n, bubble):
+        family = bubble(m, n)
+        P = family.poset
+        join, meet = oracle_lattice_tables(P)
+        lt = P.leq_matrix & ~np.eye(P.n, dtype=bool)
+        flags = [is_left_modular_element(P, p) for p in range(P.n)]
+        # (r v p) ^ q = r v (p ^ q) whenever r < q
+        assert flags == [
+            bool(np.all((meet[join[:, p]] == join[:, meet[p]]) | ~lt)) for p in range(P.n)
+        ]
+        paper = [family.index(w) for w in extremal_chain_words(m, n)]
+        for chain in (paper, paper[::-1]):
+            covers = all(b in P.up_adj[a] for a, b in zip(chain, chain[1:]))
+            want = len(chain) == P.length() + 1 and covers and all(flags[p] for p in chain)
+            assert is_left_modular_chain(P, chain) == want
+        assert is_left_modular_chain(P, paper)
+
 
 class TestDoubling:
     def test_by_empty_set(self):
@@ -562,6 +585,15 @@ def random_bounded_poset(draw, max_n: int = 8):
     return P
 
 
+@st.composite
+def relabelled_bounded_poset(draw):
+    """A random_bounded_poset with its ids permuted, so that they need not
+    be a linear extension and topological positions differ from ids."""
+    P = draw(random_bounded_poset())
+    perm = draw(st.permutations(range(P.n)))
+    return FinitePoset(P.n, [(perm[a], perm[b]) for a, b in P.edges()])
+
+
 def assert_matches_oracles(P):
     join, meet = lattice_tables(P)
     expected_join, expected_meet = oracle_lattice_tables(P)
@@ -570,19 +602,30 @@ def assert_matches_oracles(P):
     assert polygonal_intervals(P) == oracle_polygonal_intervals(P)
 
 
+def assert_matches_oracles_or_not_a_lattice(P):
+    try:
+        oracle_lattice_tables(P)
+    except NotALattice:
+        with pytest.raises(NotALattice):
+            lattice_tables(P)
+        return
+    assert_matches_oracles(P)
+
+
 class TestCoverRecursionAgainstOracles:
     """The cover-recursive tables and the join-driven polygon search against
     the pair-by-pair scans they replaced."""
 
     @given(random_bounded_poset())
     def test_random_posets(self, P):
-        try:
-            oracle_lattice_tables(P)
-        except NotALattice:
-            with pytest.raises(NotALattice):
-                lattice_tables(P)
-            return
-        assert_matches_oracles(P)
+        assert_matches_oracles_or_not_a_lattice(P)
+
+    @given(relabelled_bounded_poset())
+    # bottom 2, atoms 0 and 3, top 1; and the same without its top
+    @example(FinitePoset(4, [(2, 0), (2, 3), (0, 1), (3, 1)]))
+    @example(FinitePoset(3, [(2, 0), (2, 1)]))
+    def test_relabelled_posets(self, P):
+        assert_matches_oracles_or_not_a_lattice(P)
 
     @given(closure_lattices())
     # [0, 5] is no polygon: the walk 1 -> 3 -> 5 misses 4, the other upper
@@ -623,3 +666,16 @@ class TestCoverRecursionAgainstOracles:
     def test_no_lower_bound(self):
         with pytest.raises(NotALattice, match="^elements 0 and 1 have no lower bound$"):
             lattice_tables(FinitePoset(3, [(0, 2), (1, 2)]))
+
+    def test_tables_are_the_only_square_arrays(self, bubble):
+        # the two int32 tables plus 2 MB: a second N x N int32 array, such as
+        # turning positions into ids out of place, adds 14.8 MB at (4,4)
+        P = bubble(4, 4).poset
+        fresh = FinitePoset(P.n, P.edges())
+        tracemalloc.start()
+        try:
+            lattice_tables(fresh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * fresh.n**2 * 4 + 2 * 2**20
