@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapExceeded
-from .posets import FinitePoset, _masks
+from .posets import TABLE_DTYPE, TABLE_LIMIT, FinitePoset, _masks
 from .words import (
     Letter,
     ShuffleWord,
@@ -267,12 +267,15 @@ class LatticeFamily:
 
 
 def _check_cap(m: int, n: int, cap: Optional[int]) -> None:
+    """Refuse a family above the cap, or above TABLE_LIMIT whatever the cap,
+    before it is enumerated."""
     limit = DEFAULT_CAP if cap is None else cap
     size = count_shuffle(m, n)
-    if size > limit:
+    if size > min(limit, TABLE_LIMIT):
+        above = f"the cap {limit:,}" if size > limit else f"the {TABLE_LIMIT:,} that {TABLE_DTYPE} tables can index"
         raise CapExceeded(
-            f"family ({m},{n}) has {size:,} elements, above the cap {limit:,}; "
-            f"its join and meet tables alone would need {8 * size**2 / 1e9:.1f} GB"
+            f"family ({m},{n}) has {size:,} elements, above {above}; "
+            f"its join and meet tables alone would need {2 * size**2 * TABLE_DTYPE.itemsize / 1e9:.1f} GB"
         )
 
 

@@ -22,7 +22,7 @@ from .bubble import (
     filling_tables,
     same_support_interval,
 )
-from .errors import BubbleLatticeError, CapExceeded
+from .errors import BubbleLatticeError, CapExceeded, KappaMissing
 from .galois import (
     bubble_galois_explicit,
     galois_graph,
@@ -69,7 +69,16 @@ def _witness(words, bad: np.ndarray, lo: int = 0) -> dict:
     if not len(hits):
         return {}
     a, b = divmod(int(hits[0]), bad.shape[1])
-    return {"witness": [str(words[lo + a]), str(words[b])]}
+    return _pair(words, [(lo + a, b)])
+
+
+def _pair(words, pairs) -> dict:
+    """``{"witness": [u, v]}`` for the first id pair (a, b) of ``pairs``;
+    ``{}`` when there is none."""
+    if not pairs:
+        return {}
+    a, b = pairs[0]
+    return {"witness": [str(words[a]), str(words[b])]}
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -125,12 +134,23 @@ def _move_closure(family: LatticeFamily) -> list[int]:
 
 
 def check_order_axioms(family: LatticeFamily) -> CheckResult:
-    """Reflexivity, antisymmetry and transitivity of the bubble comparison."""
+    """Reflexivity, antisymmetry and transitivity of the bubble comparison.
+    The witness is the first pair (u, u) with u not below itself or (u, v)
+    with u <= v <= u, else the first triple (u, v, w) with u <= v <= w but
+    not u <= w."""
     rel = family.relations[0]
-    ups = _masks(rel)
-    ok = bool(rel.diagonal().all()) and int((rel & rel.T).sum()) == len(ups)
-    ok = ok and all(ups[j] & ~up == 0 for up in ups for j in _bits(up))
-    return _result("order.axioms", ok)
+    words = family.words
+    bad = rel & rel.T  # off the diagonal: u <= v <= u with u != v
+    np.fill_diagonal(bad, ~rel.diagonal())  # on it: u not <= u
+    detail = _witness(words, bad)
+    if not detail:
+        ups = _masks(rel)
+        hit = next(((i, j) for i, up in enumerate(ups) for j in _bits(up) if ups[j] & ~up), None)
+        if hit:
+            i, j = hit
+            w = next(_bits(ups[j] & ~ups[i]))
+            detail = {"witness": [str(words[i]), str(words[j]), str(words[w])]}
+    return _result("order.axioms", not detail, detail)
 
 
 def check_move_closure(family: LatticeFamily) -> CheckResult:
@@ -147,10 +167,12 @@ def check_shuffle_suborder(family: LatticeFamily) -> CheckResult:
 
 
 def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
-    """Constructive covers against the transitive reduction of the order."""
+    """Constructive covers against the transitive reduction of the order;
+    the witness is the first pair (u, v) that is a cover in one and not in
+    the other."""
     reduced = FinitePoset.from_leq_masks(len(family.words), _masks(family.relations[0]))
-    ok = set(reduced.edges()) == set(family.poset.edges())
-    return _result("order.covers_match_reduction", ok)
+    differ = sorted(set(reduced.edges()) ^ set(family.poset.edges()))
+    return _result("order.covers_match_reduction", not differ, _pair(family.words, differ))
 
 
 def check_unique_joins(family: LatticeFamily) -> CheckResult:
@@ -262,18 +284,25 @@ def check_labeling_fibers(family: LatticeFamily) -> CheckResult:
 
 
 def check_duality(family: LatticeFamily, cap: Optional[int] = None) -> CheckResult:
+    """``dualize`` is an anti-isomorphism onto the (n, m) family: a bijection
+    under which v covers u iff dualize(u) covers dualize(v).  The witness is
+    the first pair of words with one image, else the first pair (u, v) on
+    which the two cover relations disagree."""
     if family.m == family.n:
         co = family
     else:
         co = build_bubble_lattice(family.n, family.m, cap=cap)
-    mapping = [co.index(dualize(w)) for w in family.words]
-    co_edges = set(co.poset.edges())
-    ok = len(set(mapping)) == len(mapping)
-    ok = ok and all(
-        (mapping[b], mapping[a]) in co_edges for a, b in family.poset.edges()
-    )
-    ok = ok and len(family.poset.edges()) == len(co_edges)
-    return _result("duality.anti_isomorphism", ok)
+    words = family.words
+    preimage: dict[int, int] = {}
+    for i, w in enumerate(words):
+        image = co.index(dualize(w))
+        if image in preimage:
+            return _result("duality.anti_isomorphism", False, _pair(words, [(preimage[image], i)]))
+        preimage[image] = i
+    # a word of co with no preimage raises KeyError: a failure entry
+    pulled = {(preimage[d], preimage[c]) for c, d in co.poset.edges()}
+    differ = sorted(pulled ^ set(family.poset.edges()))
+    return _result("duality.anti_isomorphism", not differ, _pair(words, differ))
 
 
 def check_galois(family: LatticeFamily) -> CheckResult:
@@ -329,7 +358,12 @@ def check_hochschild(family: LatticeFamily) -> CheckResult:
 
 
 def check_crown(family: LatticeFamily) -> CheckResult:
-    witness = posets.find_crown(family.poset)  # raises on a broken crown pattern
+    """The atoms and their kappas form a crown; the witness is the first atom
+    without a kappa, or the first atom and kappa that break the pattern."""
+    try:
+        witness = posets.find_crown(family.poset)
+    except KappaMissing as exc:
+        return _result("crown.witness", False, {"witness": [str(family.words[e]) for e in exc.elements]})
     k = family.m + family.n
     # the crown forces dimension >= k; reported, not asserted (dimension
     # itself is never computed here)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -109,6 +110,8 @@ def build_check_report(m, n, suites, cap=None, timings=False) -> dict:
         "violations": [c["id"] for c in checks if c["status"] == "fail"],
     }
     if timings:
+        # the process's peak so far; ru_maxrss is in KiB on Linux
+        timing["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         report["timings"] = timing
     return report
 
@@ -233,7 +236,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="run verification suites")
     _add_common(p)
     p.add_argument("--suite", default="all", help=f"comma-separated subset of {SUITE_NAMES}")
-    p.add_argument("--timings", action="store_true", help="include per-suite timings in the report")
+    p.add_argument("--timings", action="store_true", help="include per-suite timings and the peak RSS in the report")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("galois", help="Galois graphs and their reconstruction")

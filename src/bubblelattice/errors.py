@@ -50,7 +50,14 @@ class NotExtremal(BubbleLatticeError, ValueError):
 
 
 class KappaMissing(BubbleLatticeError, ValueError):
-    """Some atom a has no greatest element among {p : a is not below p}."""
+    """Some atom a has no greatest element among {p : a is not below p}.
+
+    ``elements`` holds the ids of the first counterexample, when known.
+    """
+
+    def __init__(self, message: str, elements: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.elements = elements
 
 
 class SizeMismatch(BubbleLatticeError, ValueError):

@@ -239,9 +239,17 @@ def _masks(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+# the tables hold element ids, so they index at most TABLE_LIMIT elements and
+# cost 2 * N^2 * TABLE_DTYPE.itemsize bytes together
+TABLE_DTYPE = np.dtype(np.uint16)
+TABLE_LIMIT = int(np.iinfo(TABLE_DTYPE).max) + 1
+
 # entries per row block when a finished table's positions become ids, so the
 # only temporary of that step is one small block, not a second N x N array
 _ID_BLOCK = 1 << 16
+# entries per row block of the left-modularity test, whose gathers and masks
+# are then O(block) rather than N x N
+_LM_BLOCK = 1 << 20
 
 
 def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, least: str) -> np.ndarray:
@@ -257,9 +265,11 @@ def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, l
     up-sets, the same walk builds the meet table.
     """
     n = len(topo)
-    order = np.array(topo, dtype=np.int32)
+    if n > TABLE_LIMIT:
+        raise ValueError(f"{n:,} elements are more than {TABLE_DTYPE} tables can index ({TABLE_LIMIT:,})")
+    order = np.array(topo, dtype=TABLE_DTYPE)
     packed = _packed(down)
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     for k in range(n - 1, -1, -1):
         i = topo[k]
         below = np.unpackbits(packed[i], count=n, bitorder="little").view(bool)
@@ -391,15 +401,21 @@ def is_extremal(P: FinitePoset) -> bool:
 
 
 def _left_modular_test(P: FinitePoset) -> Callable[[int], bool]:
-    """The left-modularity test of one element, with the tables and the
-    pairs r, q that are not r < q read once for all the elements tested."""
+    """The left-modularity test of one element: (r ∨ p) ∧ q = r ∨ (p ∧ q)
+    for every r < q, compared in blocks of rows r, so that no temporary is
+    larger than about ``_LM_BLOCK`` entries; it stops at the first bad block.
+    The pairs r = q need no mask: (r ∨ p) ∧ r = r = r ∨ (p ∧ r) by absorption."""
     join, meet = _tables(P)
-    not_lt = ~P.leq_matrix | np.eye(P.n, dtype=bool)
+    leq = P.leq_matrix
+    step = max(1, _LM_BLOCK // max(P.n, 1))
 
     def test(p: int) -> bool:
-        lhs = meet.take(join[:, p], axis=0)  # (r ∨ p) ∧ q
-        rhs = join.take(meet[p], axis=1)     # r ∨ (p ∧ q)
-        return bool(((lhs == rhs) | not_lt).all())
+        for lo in range(0, P.n, step):
+            lhs = meet.take(join[lo : lo + step, p], axis=0)  # (r ∨ p) ∧ q
+            rhs = join[lo : lo + step].take(meet[p], axis=1)  # r ∨ (p ∧ q)
+            if ((lhs != rhs) & leq[lo : lo + step]).any():
+                return False
+        return True
 
     return test
 
@@ -513,7 +529,7 @@ def kappa(P: FinitePoset, j: int) -> int:
     (lower,) = P.down_adj[j]  # ValueError unless j is join-irreducible
     found = _kappa(P.up, lower, j)
     if found is None:
-        raise KappaMissing(f"no greatest element above {lower} avoids being above {j}")
+        raise KappaMissing(f"no greatest element above {lower} avoids being above {j}", (j,))
     return found
 
 
@@ -521,20 +537,18 @@ def find_crown(P: FinitePoset) -> CrownWitness:
     """Atoms together with their kappa elements.
 
     For a semidistributive lattice with k atoms this witnesses a k-crown:
-    atom i sits below kappa(j) exactly when i differs from j.  With two or
-    fewer atoms the relational pattern still holds but the 2k points need
-    not be distinct.
+    atom i sits below kappa(j) exactly when i differs from j, which also
+    makes kappa injective.  With two or fewer atoms the relational pattern
+    still holds but the 2k points need not be distinct.  KappaMissing names
+    the first atom without a kappa, or the first atom and kappa off the
+    pattern, in its ``elements``.
     """
     ats = atoms(P)
     kappas = [kappa(P, a) for a in ats]
-    if len(set(kappas)) != len(kappas):
-        raise KappaMissing("kappa is not injective; lattice is not semidistributive")
     for i, a in enumerate(ats):
         for j, kb in enumerate(kappas):
             if P.leq(a, kb) != (i != j):
-                raise KappaMissing(
-                    f"crown pattern broken at atom {a} vs kappa {kb}"
-                )
+                raise KappaMissing(f"crown pattern broken at atom {a} vs kappa {kb}", (a, kb))
     return CrownWitness(tuple(ats), tuple(kappas))
 
 

@@ -12,7 +12,9 @@ pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
 ``_comparability_components``) that the cover recursion and the polygon
 search by single-cover walks in ``posets`` replaced.
 ``semidistributive_half`` is the triple scan over the join and meet tables
-that the kappa route to semidistributivity replaced.  ``is_isomorphic`` is
+that the kappa route to semidistributivity replaced, and
+``oracle_left_modular_test`` the full-matrix left-modularity test that the
+row-blocked one replaced.  ``is_isomorphic`` is
 a backtracking isomorphism search for small posets, which the Galois check
 replaced by Markowsky's canonical map.
 """
@@ -209,6 +211,21 @@ def oracle_lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
                 raise NotALattice(f"elements {i} and {j} have two maximal lower bounds")
             meet[i, j] = meet[j, i] = w
     return join, meet
+
+
+def oracle_left_modular_test(P: FinitePoset):
+    """The left-modularity test of one element, (r ∨ p) ∧ q = r ∨ (p ∧ q)
+    for every r < q, on the oracle tables and two full N x N gathers per
+    element: the test that the row-blocked one in ``posets`` replaced."""
+    join, meet = oracle_lattice_tables(P)
+    not_lt = ~P.leq_matrix | np.eye(P.n, dtype=bool)
+
+    def test(p: int) -> bool:
+        lhs = meet.take(join[:, p], axis=0)  # (r ∨ p) ∧ q
+        rhs = join.take(meet[p], axis=1)     # r ∨ (p ∧ q)
+        return bool(((lhs == rhs) | not_lt).all())
+
+    return test
 
 
 def semidistributive_half(op: np.ndarray, dual_op: np.ndarray) -> bool:

@@ -326,6 +326,26 @@ class TestFillingTables:
         assert result.detail["failing_pairs"] == count * (count + 1)
         assert result.detail["witness"] == [str(family.words[0])] * 2
 
+    def test_minus_one_is_a_failing_pair_against_uint16_tables(self, bubble, monkeypatch):
+        # int64 -1 against a uint16 entry compares as -1, never as 65,535
+        assert np.array([-1]) != np.array([65_535], dtype=np.uint16)
+        family = bubble(2, 2)
+        last = len(family.words) - 1
+        original = checks.filling_tables
+
+        def one_missing(words):
+            for lo, joins, meets in original(words):
+                if lo == 0:
+                    joins = joins.copy()
+                    joins[0, last] = -1
+                yield lo, joins, meets
+
+        monkeypatch.setattr(checks, "filling_tables", one_missing)
+        result = checks.check_unique_joins(family)
+        assert result.detail == {
+            "failing_pairs": 1, "witness": [str(family.words[0]), str(family.words[last])]
+        }
+
 
 class TestFamilies:
     def test_family_21_shape(self, bubble):

@@ -136,7 +136,18 @@ class TestCheck:
         monkeypatch.setattr(bubble, "enumerate_shuffle", forbidden)
         code, out, err = run(["check", "6", "5"], tmp_path, monkeypatch, capsys)
         assert code == 2 and out == ""
-        assert "refused" in err and "43,620" in err and "15.2 GB" in err
+        assert "refused" in err and "43,620" in err and "7.6 GB" in err
+
+    def test_refuses_past_the_table_limit_whatever_the_cap(self, tmp_path, monkeypatch, capsys):
+        # N = 127,905: uint16 tables cannot index it, so no cap admits it
+        def forbidden(m, n):
+            raise AssertionError("the family was enumerated before the cap check")
+
+        monkeypatch.setattr(words, "enumerate_shuffle", forbidden)
+        monkeypatch.setattr(bubble, "enumerate_shuffle", forbidden)
+        code, out, err = run(["check", "6", "6", "--cap", "1000000"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert "refused" in err and "127,905" in err and "65,536" in err and "uint16" in err
 
     def test_suite_subset(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(
@@ -165,7 +176,9 @@ class TestCheck:
         without = build_check_report(1, 0, ["crown"])
         with_timings = build_check_report(1, 0, ["crown"], timings=True)
         assert "timings" not in without
-        assert set(with_timings["timings"]) == {"build", "crown"}
+        assert set(with_timings["timings"]) == {"build", "crown", "peak_rss_mb"}
+        # the process has imported numpy: its peak is some MB, not KiB or bytes
+        assert 10 < with_timings["timings"]["peak_rss_mb"] < 10_000
 
     def test_parallel_flag_is_gone(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,10 @@
 """Injected faults must show up as violations in a `check` report.
 
 Each mutant replaces one function in every bubblelattice namespace that
-holds it, then runs the full `check` on (2,2) and (3,2), or on (3,1) where
-the guarding suite needs n = 1.  The report must come back (no traceback),
-exit with code 1, and name the checks that guard the broken fact among its
-violations.
+holds it, then runs the full `check` on (2,2) and (3,2), on (3,1) where
+the guarding suite needs n = 1, or on (2,2) and (3,3) where the mutant
+needs m = n.  The report must come back (no traceback), exit with code 1,
+and name the checks that guard the broken fact among its violations.
 """
 
 import json
@@ -112,6 +112,25 @@ def kappa_without_lower_cover(original):
     return mutant
 
 
+def dualize_keeps_letters(original):
+    """The dual word without exchanging x's and y's: the identity when m = n."""
+
+    def mutant(u):
+        return words.ShuffleWord(u.letters, u.n, u.m)
+
+    return mutant
+
+
+def kappa_least_not_above(original):
+    """kappa(j) as the first minimal element not above j: the bottom, for an atom."""
+
+    def mutant(P, j):
+        excluded = ((1 << P.n) - 1) & ~P.up[j]
+        return next(p for p in posets._bits(excluded) if P.down[p] & excluded == 1 << p)
+
+    return mutant
+
+
 def chain_reversed(original):
     def mutant(m, n):
         return original(m, n)[::-1]
@@ -160,14 +179,25 @@ MUTANTS = {
         kappa_without_lower_cover,
         {"lattice.semidistributive_trim"},
     ),
+    "dualize_keeps_letters": (
+        lambda: words.dualize,
+        dualize_keeps_letters,
+        {"duality.anti_isomorphism"},
+    ),
+    "kappa_least_not_above": (
+        lambda: posets.kappa,
+        kappa_least_not_above,
+        {"crown.witness"},
+    ),
     "extremal_chain_reversed": (
         lambda: bubble.extremal_chain_words,
         chain_reversed,
         {"lattice.semidistributive_trim", "galois.graphs_coincide"},
     ),
 }
-# the hochschild suite skips every n != 1
-FAMILIES = {"sigma_tilde_off_by_one": ((3, 1),)}
+# the hochschild suite skips every n != 1; keeping the letters stays in the
+# alphabet only when m = n
+FAMILIES = {"sigma_tilde_off_by_one": ((3, 1),), "dualize_keeps_letters": ((2, 2), (3, 3))}
 CASES = [(name, m, n) for name in sorted(MUTANTS) for m, n in FAMILIES.get(name, ((2, 2), (3, 2)))]
 
 
@@ -272,3 +302,102 @@ def test_yfill_closure_witness(monkeypatch, capsys):
     detail = check_detail(["check", "2", "2", "--suite", "lattice"], "lattice.yfill_closure", capsys)
     first = next(u for u in build_bubble_lattice(2, 2).words if len(u.ysupport) < 2)
     assert detail["witness"] == [str(first)] * 2
+
+
+def test_order_axioms_witness(monkeypatch, capsys):
+    original = bubble.order_relations
+    replace_everywhere(monkeypatch, original, relation_without_rows(original))
+    detail = check_detail(["check", "2", "2", "--suite", "order"], "order.axioms", capsys)
+    ws = build_bubble_lattice(2, 2).words
+    rel = bubble.order_relations(ws)[0]
+    # the first pair, row-major, that is not reflexive or not antisymmetric
+    first = next(
+        [str(ws[a]), str(ws[b])]
+        for a in range(len(ws))
+        for b in range(len(ws))
+        if (a == b and not rel[a, b]) or (a != b and rel[a, b] and rel[b, a])
+    )
+    assert detail["witness"] == first
+
+
+def test_order_axioms_transitivity_witness(monkeypatch, capsys):
+    original = bubble.order_relations
+
+    def covers_only(ws):
+        # the cover relation with its diagonal: reflexive and antisymmetric,
+        # not transitive once a chain has two covers
+        _, shuffle = original(ws)
+        index = {u: i for i, u in enumerate(ws)}
+        rel = np.eye(len(ws), dtype=bool)
+        for u in ws:
+            for c, _ in bubble.upper_covers(u):
+                rel[index[u], index[c]] = True
+        return rel, shuffle
+
+    replace_everywhere(monkeypatch, original, covers_only)
+    detail = check_detail(["check", "2", "1", "--suite", "order"], "order.axioms", capsys)
+    family = build_bubble_lattice(2, 1)
+    P, ws = family.poset, family.words
+    u, v, w = (ws.index(words.parse_word(t, 2, 1)) for t in detail["witness"])
+    assert v in P.up_adj[u] and w in P.up_adj[v] and w not in P.up_adj[u]
+    # u is the first element with a two-step chain above it, v its first cover
+    # with a cover of its own, w that cover's first
+    assert u == min(a for a in range(P.n) if any(P.up_adj[c] for c in P.up_adj[a]))
+    assert v == min(c for c in P.up_adj[u] if P.up_adj[c])
+    assert w == min(P.up_adj[v])
+
+
+def test_covers_match_reduction_witness(monkeypatch, capsys):
+    ws = build_bubble_lattice(2, 2).words
+    index = {u: i for i, u in enumerate(ws)}
+    # the first transposition cover, by ids: in the reduction, not in the covers
+    first = min(
+        (index[u], index[c]) for u in ws for c, step in bubble.upper_covers(u) if step.kind == "transposition"
+    )
+    original = bubble.upper_covers
+    replace_everywhere(monkeypatch, original, covers_without_transpositions(original))
+    detail = check_detail(["check", "2", "2", "--suite", "order"], "order.covers_match_reduction", capsys)
+    assert detail["witness"] == [str(ws[first[0]]), str(ws[first[1]])]
+
+
+def test_duality_witness(monkeypatch, capsys):
+    family = build_bubble_lattice(2, 2)
+    P, ws = family.poset, family.words
+    # with the identity for dualize: the first pair, row-major, where v covers
+    # u but u does not cover v, or the reverse
+    first = next(
+        [str(ws[a]), str(ws[b])]
+        for a in range(P.n)
+        for b in range(P.n)
+        if (b in P.up_adj[a]) != (a in P.up_adj[b])
+    )
+    replace_everywhere(monkeypatch, words.dualize, dualize_keeps_letters(words.dualize))
+    detail = check_detail(["check", "2", "2", "--suite", "duality"], "duality.anti_isomorphism", capsys)
+    assert detail["witness"] == first
+
+
+def test_duality_witness_names_two_words_with_one_image(monkeypatch, capsys):
+    original = words.dualize
+
+    def drops_last_letter(u):
+        return original(words.ShuffleWord(u.letters[:-1], u.m, u.n))
+
+    replace_everywhere(monkeypatch, original, drops_last_letter)
+    detail = check_detail(["check", "3", "2", "--suite", "duality"], "duality.anti_isomorphism", capsys)
+    ws = build_bubble_lattice(3, 2).words
+    u, v = (words.parse_word(t, 3, 2) for t in detail["witness"])
+    assert ws.index(u) < ws.index(v) and drops_last_letter(u) == drops_last_letter(v)
+    # v is the first word whose image an earlier word already has
+    images = [drops_last_letter(x) for x in ws]
+    assert ws.index(v) == min(i for i in range(len(ws)) if images[i] in images[:i])
+
+
+def test_crown_witness(monkeypatch, capsys):
+    family = build_bubble_lattice(2, 2)
+    P = family.poset
+    ats = posets.atoms(P)
+    replace_everywhere(monkeypatch, posets.kappa, kappa_least_not_above(posets.kappa))
+    detail = check_detail(["check", "2", "2", "--suite", "crown"], "crown.witness", capsys)
+    # every kappa is the bottom, so the first atom is not below the second
+    # atom's kappa
+    assert detail == {"witness": [str(family.words[ats[0]]), str(family.bottom_word())]}

@@ -1,11 +1,13 @@
 """Generic poset engine: lattices, irreducibles, labels, crowns, doubling."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bubblelattice import posets
 from bubblelattice.bubble import extremal_chain_words
 from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive, SizeMismatch
 from bubblelattice.hochschild import hochschild_lattice
@@ -35,6 +37,7 @@ from bubblelattice.posets import (
 from conftest import (
     is_isomorphic,
     oracle_lattice_tables,
+    oracle_left_modular_test,
     oracle_polygonal_intervals,
     semidistributive_half,
     splits,
@@ -338,6 +341,31 @@ class TestExtremal:
         assert P.length() == m * n + m + n
 
 
+def test_chain_test_needs_no_square_temporaries(bubble):
+    # per block of about _LM_BLOCK entries: two uint16 gathers and two bool
+    # masks, or the last block's gathers while the next are built; about
+    # 6 MiB at (4,4), where the full-matrix test peaked at 35 MiB
+    family = bubble(4, 4)
+    P = family.poset
+    lattice_tables(P)
+    P.leq_matrix
+    chain = [family.index(w) for w in extremal_chain_words(4, 4)]
+    tracemalloc.start()
+    try:
+        assert is_left_modular_chain(P, chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * posets._LM_BLOCK * posets.TABLE_DTYPE.itemsize
+
+
+def left_modular_flags(P, block):
+    """``is_left_modular_element`` of every element, in row blocks of about
+    ``block`` entries (1: one row per block)."""
+    with mock.patch.object(posets, "_LM_BLOCK", block):
+        return [is_left_modular_element(P, p) for p in range(P.n)]
+
+
 class TestTrim:
     def test_chain_is_trim(self):
         assert is_trim(chain_poset(5))
@@ -353,17 +381,22 @@ class TestTrim:
         chain = left_modular_chain(P)
         assert chain is not None and len(chain) == P.length() + 1
 
+    @given(closure_lattices())
+    # N5 relabelled so that its one failing row, the lower element of the
+    # long side, is the first id or the last
+    @example(FinitePoset(5, [(1, 0), (0, 3), (1, 4), (3, 2), (4, 2)]))
+    @example(FinitePoset(5, [(0, 4), (4, 3), (0, 1), (3, 2), (1, 2)]))
+    def test_blocked_test_is_the_full_matrix_oracle(self, P):
+        # blocks of one row, of several rows with a shorter last one, and one block
+        flags = list(map(oracle_left_modular_test(P), range(P.n)))
+        assert all(left_modular_flags(P, block) == flags for block in (1, 12, posets._LM_BLOCK))
+
     @pytest.mark.parametrize("m,n", splits(5))
     def test_chain_test_is_the_element_tests(self, m, n, bubble):
         family = bubble(m, n)
         P = family.poset
-        join, meet = oracle_lattice_tables(P)
-        lt = P.leq_matrix & ~np.eye(P.n, dtype=bool)
-        flags = [is_left_modular_element(P, p) for p in range(P.n)]
-        # (r v p) ^ q = r v (p ^ q) whenever r < q
-        assert flags == [
-            bool(np.all((meet[join[:, p]] == join[:, meet[p]]) | ~lt)) for p in range(P.n)
-        ]
+        flags = list(map(oracle_left_modular_test(P), range(P.n)))
+        assert left_modular_flags(P, 1) == left_modular_flags(P, posets._LM_BLOCK) == flags
         paper = [family.index(w) for w in extremal_chain_words(m, n)]
         for chain in (paper, paper[::-1]):
             covers = all(b in P.up_adj[a] for a, b in zip(chain, chain[1:]))
@@ -668,8 +701,8 @@ class TestCoverRecursionAgainstOracles:
             lattice_tables(FinitePoset(3, [(0, 2), (1, 2)]))
 
     def test_tables_are_the_only_square_arrays(self, bubble):
-        # the two int32 tables plus 2 MB: a second N x N int32 array, such as
-        # turning positions into ids out of place, adds 14.8 MB at (4,4)
+        # the two uint16 tables plus 2 MB: a second N x N uint16 array, such
+        # as turning positions into ids out of place, adds 7.4 MB at (4,4)
         P = bubble(4, 4).poset
         fresh = FinitePoset(P.n, P.edges())
         tracemalloc.start()
@@ -678,4 +711,13 @@ class TestCoverRecursionAgainstOracles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * fresh.n**2 * 4 + 2 * 2**20
+        assert peak <= 2 * fresh.n**2 * 2 + 2 * 2**20
+
+    def test_tables_are_uint16(self, bubble):
+        join, meet = lattice_tables(bubble(2, 2).poset)
+        assert join.dtype == meet.dtype == np.uint16
+
+    def test_more_elements_than_uint16_ids_refused(self):
+        # refused before anything is read or allocated: the tables would need 17 GB
+        with pytest.raises(ValueError, match="^65,537 elements are more than uint16 tables can index"):
+            posets._bound_table(range(posets.TABLE_LIMIT + 1), None, None, "upper", "minimal")
