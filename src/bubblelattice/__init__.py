@@ -9,7 +9,6 @@ from .bubble import (
     leq_bubble,
     leq_shuffle,
     meet,
-    same_support_interval,
     upper_covers,
 )
 from .hochschild import (

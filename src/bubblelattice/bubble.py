@@ -259,12 +259,6 @@ class LatticeFamily:
     def labels(self) -> list[str]:
         return [str(w) for w in self.words]
 
-    def bottom_word(self) -> ShuffleWord:
-        return self.words[self.poset.bottom()]
-
-    def top_word(self) -> ShuffleWord:
-        return self.words[self.poset.top()]
-
 
 def _check_cap(m: int, n: int, cap: Optional[int]) -> None:
     """Refuse a family above the cap, or above TABLE_LIMIT whatever the cap,
@@ -297,31 +291,6 @@ def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFam
     words = enumerate_shuffle(m, n)
     _, shuffle = order_relations(words)
     return LatticeFamily(m, n, words, FinitePoset.from_leq_masks(len(words), _masks(shuffle)))
-
-
-def same_support_interval(
-    xsupp: tuple[int, ...], ysupp: tuple[int, ...], m: int, n: int
-) -> tuple[tuple[ShuffleWord, ...], FinitePoset]:
-    """Words with exactly these supports, ordered by inversion inclusion."""
-    xs = tuple(Letter.x(s) for s in xsupp)
-    ys = tuple(Letter.y(t) for t in ysupp)
-    found: list[ShuffleWord] = []
-
-    def interleave(prefix: tuple[Letter, ...], i: int, j: int) -> None:
-        if i == len(xs) and j == len(ys):
-            found.append(ShuffleWord(prefix, m, n))
-            return
-        if i < len(xs):
-            interleave(prefix + (xs[i],), i + 1, j)
-        if j < len(ys):
-            interleave(prefix + (ys[j],), i, j + 1)
-
-    interleave((), 0, 0)
-    found.sort(key=lambda w: w.sort_key)
-    poset = FinitePoset.from_leq(
-        len(found), lambda i, j: found[i].inversions <= found[j].inversions
-    )
-    return tuple(found), poset
 
 
 def extremal_chain_words(m: int, n: int) -> list[ShuffleWord]:

@@ -41,16 +41,8 @@ def _outdir(args) -> Path:
     return path
 
 
-def _resolve_mn(args) -> tuple[int, int]:
-    m = args.m_flag if args.m_flag is not None else args.m
-    n = args.n_flag if args.n_flag is not None else args.n
-    if m is None or n is None:
-        raise SystemExit("need alphabet sizes: positional `m n` or --m/--n")
-    return m, n
-
-
 def cmd_generate(args) -> int:
-    m, n = _resolve_mn(args)
+    m, n = args.m, args.n
     family = build_bubble_lattice(m, n, cap=args.cap)
     outdir = _outdir(args)
     wrote = []
@@ -96,7 +88,7 @@ def build_check_report(m, n, suites, cap=None, timings=False) -> dict:
     for name in suites:
         started = time.monotonic()
         if broken is None:
-            results = run_suite(name, family, cap=cap)
+            results = run_suite(name, family)
         else:
             results = [error_result(check_id, broken) for check_id, _ in SUITES[name]]
         timing[name] = round(time.monotonic() - started, 3)
@@ -117,14 +109,14 @@ def build_check_report(m, n, suites, cap=None, timings=False) -> dict:
 
 
 def cmd_check(args) -> int:
-    m, n = _resolve_mn(args)
-    if args.suite in (None, "all"):
+    m, n = args.m, args.n
+    if args.suite == "all":
         suites = list(SUITE_NAMES)
     else:
-        suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+        suites = [s.strip() for s in args.suite.split(",")]
         unknown = [s for s in suites if s not in SUITE_NAMES]
-        if unknown:
-            raise SystemExit(f"unknown suites: {unknown}; choose from {SUITE_NAMES}")
+        if unknown or len(set(suites)) < len(suites):
+            raise SystemExit(f"bad suite list {args.suite!r}: name each of {SUITE_NAMES} at most once")
     report = build_check_report(m, n, suites, cap=args.cap, timings=args.timings)
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
@@ -135,7 +127,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_galois(args) -> int:
-    m, n = _resolve_mn(args)
+    m, n = args.m, args.n
     family = build_bubble_lattice(m, n, cap=args.cap)
     outdir = _outdir(args)
     ordering = order_irreducibles(family.poset)
@@ -168,8 +160,6 @@ def cmd_galois(args) -> int:
 
 def cmd_hochschild(args) -> int:
     n = args.n
-    if n is None:
-        raise SystemExit("need the tuple length n")
     family = build_bubble_lattice(n - 1, 1, cap=args.cap)
     result = check_hochschild(family)
     outdir = _outdir(args)
@@ -188,7 +178,7 @@ def cmd_hochschild(args) -> int:
 
 
 def cmd_label(args) -> int:
-    m, n = _resolve_mn(args)
+    m, n = args.m, args.n
     family = build_bubble_lattice(m, n, cap=args.cap)
     outdir = _outdir(args)
     labels = edge_labels(family)
@@ -209,17 +199,14 @@ def cmd_label(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_common(parser, with_n=True) -> None:
-    parser.add_argument("m", type=int, nargs="?", help="size of the x-alphabet")
-    if with_n:
-        parser.add_argument("n", type=int, nargs="?", help="size of the y-alphabet")
-    parser.add_argument("--m", dest="m_flag", type=int, help="alternative to positional m")
-    parser.add_argument("--n", dest="n_flag", type=int, help="alternative to positional n")
+def _add_common(parser, *exports) -> None:
+    """The alphabet sizes, --cap, --outdir and one flag per export format."""
+    parser.add_argument("m", type=int, help="size of the x-alphabet")
+    parser.add_argument("n", type=int, help="size of the y-alphabet")
     parser.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     parser.add_argument("--outdir", default=None, help="output directory (or $BUBBLELATTICE_OUTDIR)")
-    parser.add_argument("--dot", action="store_true", help="write DOT files")
-    parser.add_argument("--csv", action="store_true", help="write CSV files")
-    parser.add_argument("--json", action="store_true", help="write JSON files")
+    for kind in exports:
+        parser.add_argument(f"--{kind}", action="store_true", help=f"write {kind.upper()} files")
 
 
 def main(argv=None) -> int:
@@ -230,28 +217,28 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="element table and Hasse diagrams")
-    _add_common(p)
+    _add_common(p, "dot", "csv", "json")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("check", help="run verification suites")
-    _add_common(p)
+    _add_common(p, "json")
     p.add_argument("--suite", default="all", help=f"comma-separated subset of {SUITE_NAMES}")
     p.add_argument("--timings", action="store_true", help="include per-suite timings and the peak RSS in the report")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("galois", help="Galois graphs and their reconstruction")
-    _add_common(p)
+    _add_common(p, "dot", "json")
     p.set_defaults(func=cmd_galois)
 
     p = sub.add_parser("hochschild", help="triword encoding of single-y lattices")
-    p.add_argument("n", type=int, nargs="?", help="tuple length")
+    p.add_argument("n", type=int, help="tuple length")
     p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.add_argument("--outdir", default=None)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_hochschild)
 
     p = sub.add_parser("label", help="labeled diagram and CU report")
-    _add_common(p)
+    _add_common(p, "dot", "json")
     p.set_defaults(func=cmd_label)
 
     args = parser.parse_args(argv)

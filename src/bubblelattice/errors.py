@@ -60,9 +60,5 @@ class KappaMissing(BubbleLatticeError, ValueError):
         self.elements = elements
 
 
-class SizeMismatch(BubbleLatticeError, ValueError):
-    pass
-
-
 class CapExceeded(BubbleLatticeError, RuntimeError):
     pass

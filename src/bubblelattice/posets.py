@@ -106,9 +106,6 @@ class FinitePoset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def length(self) -> int:
         """Length of a longest chain (number of covers along it)."""
         return max(self.height_below, default=0)
@@ -418,10 +415,6 @@ def _left_modular_test(P: FinitePoset) -> Callable[[int], bool]:
         return True
 
     return test
-
-
-def is_left_modular_element(P: FinitePoset, p: int) -> bool:
-    return _left_modular_test(P)(p)
 
 
 def is_left_modular_chain(P: FinitePoset, chain: Sequence[int]) -> bool:

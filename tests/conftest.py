@@ -30,7 +30,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bubblelattice.bubble import LatticeFamily, build_bubble_lattice, build_shuffle_poset
-from bubblelattice.errors import NotALattice, SizeMismatch
+from bubblelattice.errors import NotALattice
 from bubblelattice.posets import FinitePoset, Polygon, _bits
 from bubblelattice.words import (
     Letter,
@@ -326,7 +326,7 @@ def is_isomorphic(P: FinitePoset, Q: FinitePoset) -> Optional[list[int]]:
     adequate at desk scale, not a general graph-isomorphism engine.
     """
     if P.n != Q.n:
-        raise SizeMismatch(f"|P| = {P.n} but |Q| = {Q.n}")
+        raise ValueError(f"|P| = {P.n} but |Q| = {Q.n}")
     if len(P.edges()) != len(Q.edges()):
         return None
     cp = _refine_colors(P)

@@ -17,11 +17,11 @@ from bubblelattice.bubble import (
     leq_shuffle,
     meet,
     order_relations,
-    same_support_interval,
     upper_covers,
 )
 from bubblelattice.errors import CapExceeded
-from bubblelattice.words import dualize, parse_word, word_text, y_fill
+from bubblelattice.posets import FinitePoset
+from bubblelattice.words import ShuffleWord, dualize, parse_word, word_text, y_fill
 
 from conftest import (
     closure_matrix,
@@ -30,6 +30,7 @@ from conftest import (
     oracle_leq_bubble,
     oracle_leq_shuffle,
     oracle_meet,
+    oracle_words,
     random_triple,
     random_word_pair,
     splits,
@@ -139,7 +140,7 @@ class TestJoinMeet:
 
     def test_join_unit_laws(self, bubble):
         family = bubble(2, 1)
-        bottom = family.bottom_word()
+        bottom = family.words[family.poset.bottom()]
         for u in family.words:
             assert join(u, u) == u
             assert join(u, bottom) == u
@@ -149,7 +150,7 @@ class TestJoinMeet:
 
     def test_meet_with_top(self, bubble):
         family = bubble(2, 1)
-        top = family.top_word()
+        top = family.words[family.poset.top()]
         for u in family.words:
             assert meet(u, top) == u
 
@@ -166,7 +167,7 @@ class TestJoinMeet:
                     for c in range(len(words))
                     if P.leq(a, c) and P.leq(b, c)
                     and all(
-                        not (P.leq(a, d) and P.leq(b, d) and P.lt(d, c))
+                        not (P.leq(a, d) and P.leq(b, d) and d != c and P.leq(d, c))
                         for d in range(len(words))
                     )
                 ]
@@ -177,7 +178,7 @@ class TestJoinMeet:
                     for c in range(len(words))
                     if dual.leq(a, c) and dual.leq(b, c)
                     and all(
-                        not (dual.leq(a, d) and dual.leq(b, d) and dual.lt(d, c))
+                        not (dual.leq(a, d) and dual.leq(b, d) and d != c and dual.leq(d, c))
                         for d in range(len(words))
                     )
                 ]
@@ -352,8 +353,8 @@ class TestFamilies:
         family = bubble(2, 1)
         assert len(family.words) == 12
         assert len(family.poset.edges()) == 18
-        assert word_text(family.bottom_word()) == "x1.x2"
-        assert word_text(family.top_word()) == "y1"
+        assert word_text(family.words[family.poset.bottom()]) == "x1.x2"
+        assert word_text(family.words[family.poset.top()]) == "y1"
 
     def test_family_22_shape(self, bubble):
         # 33 elements by the interleaving count; 4-regular so 66 edges
@@ -442,16 +443,32 @@ class TestShufflePoset:
         assert len(shuffle(2, 1).poset.edges()) == 22
 
 
+def same_support_class(xsupp, ysupp, m, n):
+    """The words of (m, n) with exactly these supports, from ``oracle_words``
+    in canonical order, and their order by inversion inclusion."""
+    words = sorted(
+        (
+            ShuffleWord(seq, m, n)
+            for seq in oracle_words(m, n)
+            if tuple(l.index for l in seq if l.is_x) == xsupp
+            and tuple(l.index for l in seq if not l.is_x) == ysupp
+        ),
+        key=lambda u: u.sort_key,
+    )
+    poset = FinitePoset.from_leq(len(words), lambda i, j: words[i].inversions <= words[j].inversions)
+    return words, poset
+
+
 class TestSameSupport:
     def test_three_chain(self):
-        words, poset = same_support_interval((1, 2), (1,), 2, 1)
+        words, poset = same_support_class((1, 2), (1,), 2, 1)
         assert [word_text(u) for u in words] == ["x1.x2.y1", "x1.y1.x2", "y1.x1.x2"]
         assert poset.length() == 2 and len(poset.edges()) == 2
 
     def test_single_element_cases(self):
-        words, _ = same_support_interval((1, 2), (), 2, 1)
+        words, _ = same_support_class((1, 2), (), 2, 1)
         assert len(words) == 1
-        words, _ = same_support_interval((), (1,), 2, 1)
+        words, _ = same_support_class((), (1,), 2, 1)
         assert len(words) == 1
 
     @pytest.mark.parametrize("s", range(5))
@@ -459,19 +476,27 @@ class TestSameSupport:
     def test_counts(self, s, t):
         xsupp = tuple(range(1, s + 1))
         ysupp = tuple(range(1, t + 1))
-        words, poset = same_support_interval(xsupp, ysupp, s, t)
+        words, poset = same_support_class(xsupp, ysupp, s, t)
         assert len(words) == math.comb(s + t, s)
         assert posets.is_lattice(poset) and posets.is_distributive(poset)
 
     def test_matches_bubble_restriction(self, bubble):
-        # the same-support subposet agrees with the bubble order on it
+        # the classes of lattice.same_support_distributive, words grouped by
+        # their support masks and ordered by the code relation, are the
+        # oracle's classes under inversion inclusion
         family = bubble(2, 2)
-        for xsupp in [(1,), (1, 2), ()]:
-            for ysupp in [(2,), (1, 2)]:
-                words, poset = same_support_interval(xsupp, ysupp, 2, 2)
-                for i, u in enumerate(words):
-                    for j, v in enumerate(words):
-                        assert poset.leq(i, j) == leq_bubble(u, v)
+        rel = family.relations[0]
+        classes = {}
+        for i, u in enumerate(family.words):
+            classes.setdefault(u.code[:2], []).append(i)
+        assert len(classes) == 16
+        for ids in classes.values():
+            u = family.words[ids[0]]
+            words, poset = same_support_class(u.xsupport, u.ysupport, 2, 2)
+            assert [family.words[i] for i in ids] == words
+            for a, i in enumerate(ids):
+                for b, j in enumerate(ids):
+                    assert rel[i, j] == poset.leq(a, b) == leq_bubble(words[a], words[b])
 
 
 class TestClosureOperator:

@@ -57,13 +57,6 @@ class TestGenerate:
         assert dot.count("->") == 66
         assert (tmp_path / "shuffle_2_2.dot").exists()
 
-    def test_flag_style_arguments(self, tmp_path, monkeypatch, capsys):
-        code, _, _ = run(
-            ["generate", "--m", "1", "--n", "1", "--csv"], tmp_path, monkeypatch, capsys
-        )
-        assert code == 0
-        assert (tmp_path / "bubble_1_1.csv").exists()
-
     def test_cap_refusal(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(
             ["generate", "4", "4", "--cap", "100"], tmp_path, monkeypatch, capsys
@@ -128,6 +121,16 @@ class TestCheck:
         ids = {c["id"] for c in report["checks"]}
         assert {"order.axioms", "duality.anti_isomorphism"} <= ids
 
+    def test_dual_family_is_admitted_by_the_runs_cap(self, tmp_path, monkeypatch, capsys):
+        # (2,3) has as many words as (3,2), which --cap admitted
+        size = len(build_bubble_lattice(3, 2).words)
+        monkeypatch.setattr(bubble, "DEFAULT_CAP", size - 1)
+        code, out, _ = run(
+            ["check", "3", "2", "--cap", str(size), "--suite", "duality"], tmp_path, monkeypatch, capsys
+        )
+        assert code == 0
+        assert json.loads(out)["checks"] == [{"id": "duality.anti_isomorphism", "status": "pass", "detail": {}}]
+
     def test_refuses_6_5_before_building(self, tmp_path, monkeypatch, capsys):
         def forbidden(m, n):
             raise AssertionError("the family was enumerated before the cap check")
@@ -162,6 +165,31 @@ class TestCheck:
         with pytest.raises(SystemExit):
             run(["check", "1", "1", "--suite", "nope"], tmp_path, monkeypatch, capsys)
 
+    @pytest.mark.parametrize("suites", [",", "order,order"])
+    def test_empty_or_repeated_suite_list(self, suites, tmp_path, monkeypatch, capsys):
+        # refused like an unknown suite, before anything is built or printed
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "2", "1", "--suite", suites], tmp_path, monkeypatch, capsys)
+        assert "bad suite list" in str(exc.value.code)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "2", "1", "--dot"],
+            ["check", "2", "1", "--csv"],
+            ["galois", "2", "1", "--csv"],
+            ["label", "2", "1", "--csv"],
+            ["generate", "--m", "1", "--n", "1"],
+            ["check", "2"],
+        ],
+        ids=["check-dot", "check-csv", "galois-csv", "label-csv", "m-n-flags", "check-without-n"],
+    )
+    def test_flags_a_command_does_not_read_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, tmp_path, monkeypatch, capsys)
+        assert exc.value.code == 2
+
     def test_exit_code_tracks_violations(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run(["check", "1", "1"], tmp_path, monkeypatch, capsys)
         report = json.loads(out)
@@ -186,7 +214,7 @@ class TestCheck:
         assert exc.value.code == 2
 
     def test_bad_alphabet_size_exits_2(self, tmp_path, monkeypatch, capsys):
-        code, out, err = run(["check", "--m", "-1", "--n", "2"], tmp_path, monkeypatch, capsys)
+        code, out, err = run(["check", "-1", "2"], tmp_path, monkeypatch, capsys)
         assert code == 2 and out == "" and "error" in err
 
     @pytest.mark.parametrize(
@@ -203,6 +231,20 @@ class TestCheck:
         replace_everywhere(monkeypatch, original, counted)
         code, _, _ = run(["check", str(m), str(n)], tmp_path, monkeypatch, capsys)
         assert code == 0 and builds == expected
+
+    def test_order_and_lattice_build_one_full_size_poset(self, tmp_path, monkeypatch, capsys):
+        size = len(build_bubble_lattice(3, 3).words)
+        sizes = []
+        original = posets.FinitePoset.__init__
+
+        def counted(self, n, cover_pairs):
+            sizes.append(n)
+            original(self, n, cover_pairs)
+
+        monkeypatch.setattr(posets.FinitePoset, "__init__", counted)
+        code, _, _ = run(["check", "3", "3", "--suite", "order,lattice"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert sizes.count(size) == 1
 
     def test_raising_check_is_a_failure_entry(self, tmp_path, monkeypatch, capsys):
         def broken(P):

@@ -142,7 +142,12 @@ MUTANTS = {
     "relation_drops_rows": (
         lambda: bubble.order_relations,
         relation_without_rows,
-        {"order.axioms", "order.move_closure"},
+        {
+            "order.axioms",
+            "order.move_closure",
+            "order.covers_match_reduction",
+            "lattice.same_support_distributive",
+        },
     ),
     "covers_drop_transpositions": (
         lambda: bubble.upper_covers,
@@ -349,15 +354,27 @@ def test_order_axioms_transitivity_witness(monkeypatch, capsys):
 
 def test_covers_match_reduction_witness(monkeypatch, capsys):
     ws = build_bubble_lattice(2, 2).words
-    index = {u: i for i, u in enumerate(ws)}
-    # the first transposition cover, by ids: in the reduction, not in the covers
-    first = min(
-        (index[u], index[c]) for u in ws for c, step in bubble.upper_covers(u) if step.kind == "transposition"
+
+    def above(u):
+        """The words reached from u by the covers other than transpositions."""
+        seen, todo = {u}, [u]
+        while todo:
+            for c, step in bubble.upper_covers(todo.pop()):
+                if step.kind != "transposition" and c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        return seen
+
+    # the first pair, row-major, where the closure of the mutant's covers and
+    # the bubble order disagree
+    ups = [above(u) for u in ws]
+    first = next(
+        [str(u), str(v)] for u, up in zip(ws, ups) for v in ws if (v in up) != bubble.leq_bubble(u, v)
     )
     original = bubble.upper_covers
     replace_everywhere(monkeypatch, original, covers_without_transpositions(original))
     detail = check_detail(["check", "2", "2", "--suite", "order"], "order.covers_match_reduction", capsys)
-    assert detail["witness"] == [str(ws[first[0]]), str(ws[first[1]])]
+    assert detail["witness"] == first
 
 
 def test_duality_witness(monkeypatch, capsys):
@@ -400,4 +417,4 @@ def test_crown_witness(monkeypatch, capsys):
     detail = check_detail(["check", "2", "2", "--suite", "crown"], "crown.witness", capsys)
     # every kappa is the bottom, so the first atom is not below the second
     # atom's kappa
-    assert detail == {"witness": [str(family.words[ats[0]]), str(family.bottom_word())]}
+    assert detail == {"witness": [str(family.words[ats[0]]), str(family.words[P.bottom()])]}
