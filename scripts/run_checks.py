@@ -12,23 +12,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bubblelattice.checks import SUITE_NAMES
-from bubblelattice.cli import build_check_report
+from bubblelattice.cli import build_check_report, suite_list
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-total", type=int, default=5, help="largest m+n to sweep")
-    parser.add_argument("--suite", default="all")
+    parser.add_argument("--suite", default="all", type=suite_list)
     args = parser.parse_args()
-    suites = list(SUITE_NAMES) if args.suite == "all" else args.suite.split(",")
 
     failures = 0
     for total in range(args.max_total + 1):
         for m in range(total + 1):
             n = total - m
             started = time.monotonic()
-            bad = build_check_report(m, n, suites)["violations"]
+            bad = build_check_report(m, n, args.suite)["violations"]
             elapsed = time.monotonic() - started
             status = "ok" if not bad else f"FAIL {bad}"
             print(f"({m},{n})  {elapsed:6.2f}s  {status}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapExceeded
-from .posets import TABLE_DTYPE, TABLE_LIMIT, FinitePoset, _masks
+from .posets import TABLE_DTYPE, TABLE_LIMIT, FinitePoset
 from .words import (
     Letter,
     ShuffleWord,
@@ -290,7 +290,7 @@ def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFam
     _check_cap(m, n, cap)
     words = enumerate_shuffle(m, n)
     _, shuffle = order_relations(words)
-    return LatticeFamily(m, n, words, FinitePoset.from_leq_masks(len(words), _masks(shuffle)))
+    return LatticeFamily(m, n, words, FinitePoset.from_matrix(shuffle))
 
 
 def extremal_chain_words(m: int, n: int) -> list[ShuffleWord]:

@@ -37,8 +37,8 @@ from .labeling import (
     lambda_bubble,
     verify_cu_labeling,
 )
-from .posets import FinitePoset, _bits, _masks, _packed
-from .words import ShuffleWord, dualize, y_fill
+from .posets import FinitePoset, _bits, _masks, _matrix, _reach
+from .words import Letter, ShuffleWord, dualize, y_fill
 
 @dataclass
 class CheckResult:
@@ -88,22 +88,20 @@ def _move_closure(family: LatticeFamily) -> list[int]:
 
     Independent of both the order characterization and the cover rules: one
     step deletes any x, inserts any missing y at every admissible position,
-    or swaps one adjacent x-y pair; the relation is then closed reflexively
-    and transitively.
+    or swaps one adjacent x-y pair.  Every move goes up, so the moves form
+    an acyclic graph, closed reflexively and transitively by one pass in
+    topological order.
     """
-    from .words import Letter
-
     index = family._index
-    n = len(family.words)
-    step = [1 << i for i in range(n)]
+    step: list[set[int]] = [set() for _ in family.words]
     for i, w in enumerate(family.words):
         seq = w.letters
         for pos, letter in enumerate(seq):
             if letter.is_x:
-                step[i] |= 1 << index[ShuffleWord(seq[:pos] + seq[pos + 1:], w.m, w.n)]
+                step[i].add(index[ShuffleWord(seq[:pos] + seq[pos + 1:], w.m, w.n)])
                 if pos + 1 < len(seq) and not seq[pos + 1].is_x:
                     swapped = seq[:pos] + (seq[pos + 1], letter) + seq[pos + 2:]
-                    step[i] |= 1 << index[ShuffleWord(swapped, w.m, w.n)]
+                    step[i].add(index[ShuffleWord(swapped, w.m, w.n)])
         present = set(w.ysupport)
         for j in range(1, w.n + 1):
             if j in present:
@@ -114,19 +112,8 @@ def _move_closure(family: LatticeFamily) -> list[int]:
                     bigger = ShuffleWord(candidate, w.m, w.n)
                 except BubbleLatticeError:
                     continue
-                step[i] |= 1 << index[bigger]
-    # transitive closure by iterated squaring of the successor masks
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = step[i]
-            for j in _bits(step[i]):
-                acc |= step[j]
-            if acc != step[i]:
-                step[i] = acc
-                changed = True
-    return step
+                step[i].add(index[bigger])
+    return _reach(len(step), step)[1]
 
 
 # -- the checks ---------------------------------------------------------------
@@ -136,13 +123,14 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
     """Reflexivity, antisymmetry and transitivity of the bubble comparison.
     The witness is the first pair (u, u) with u not below itself or (u, v)
     with u <= v <= u, else the first triple (u, v, w) with u <= v <= w but
-    not u <= w."""
+    not u <= w.  A relation equal to the closure of the covers is transitive,
+    so the triples are walked only when the two differ."""
     rel = family.relations[0]
     words = family.words
     bad = rel & rel.T  # off the diagonal: u <= v <= u with u != v
     np.fill_diagonal(bad, ~rel.diagonal())  # on it: u not <= u
     detail = _witness(words, bad)
-    if not detail:
+    if not detail and not np.array_equal(family.poset.leq_matrix, rel):
         ups = _masks(rel)
         hit = next(((i, j) for i, up in enumerate(ups) for j in _bits(up) if ups[j] & ~up), None)
         if hit:
@@ -153,9 +141,7 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
 
 
 def check_move_closure(family: LatticeFamily) -> CheckResult:
-    rel = family.relations[0]
-    closure = np.unpackbits(_packed(_move_closure(family)), axis=1, bitorder="little")
-    bad = closure[:, : len(rel)].astype(bool) != rel
+    bad = _matrix(_move_closure(family)) != family.relations[0]
     return _result("order.move_closure", not bad.any(), _witness(family.words, bad))
 
 
@@ -241,7 +227,7 @@ def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
     rel = family.relations[0]
     ok = len(classes) == 2 ** (family.m + family.n)
     for (xs, ys), ids in classes.items():
-        poset = FinitePoset.from_leq_masks(len(ids), _masks(rel[np.ix_(ids, ids)]))
+        poset = FinitePoset.from_matrix(rel[np.ix_(ids, ids)])
         ok &= len(ids) == math.comb(xs.bit_count() + ys.bit_count(), xs.bit_count())
         ok &= posets.is_lattice(poset) and posets.is_distributive(poset)
     return _result("lattice.same_support_distributive", ok)

@@ -108,16 +108,20 @@ def build_check_report(m, n, suites, cap=None, timings=False) -> dict:
     return report
 
 
+def suite_list(text: str) -> list[str]:
+    """The ``--suite`` argument of ``check`` and of the sweep: ``all``, or a
+    comma-separated list that names each suite at most once."""
+    if text == "all":
+        return list(SUITE_NAMES)
+    suites = [s.strip() for s in text.split(",")]
+    if any(s not in SUITE_NAMES for s in suites) or len(set(suites)) < len(suites):
+        raise argparse.ArgumentTypeError(f"bad suite list {text!r}: name each of {SUITE_NAMES} at most once")
+    return suites
+
+
 def cmd_check(args) -> int:
     m, n = args.m, args.n
-    if args.suite == "all":
-        suites = list(SUITE_NAMES)
-    else:
-        suites = [s.strip() for s in args.suite.split(",")]
-        unknown = [s for s in suites if s not in SUITE_NAMES]
-        if unknown or len(set(suites)) < len(suites):
-            raise SystemExit(f"bad suite list {args.suite!r}: name each of {SUITE_NAMES} at most once")
-    report = build_check_report(m, n, suites, cap=args.cap, timings=args.timings)
+    report = build_check_report(m, n, args.suite, cap=args.cap, timings=args.timings)
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
     if args.json:
@@ -222,7 +226,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="run verification suites")
     _add_common(p, "json")
-    p.add_argument("--suite", default="all", help=f"comma-separated subset of {SUITE_NAMES}")
+    p.add_argument("--suite", default="all", type=suite_list, help=f"comma-separated subset of {SUITE_NAMES}")
     p.add_argument("--timings", action="store_true", help="include per-suite timings and the peak RSS in the report")
     p.set_defaults(func=cmd_check)
 

@@ -19,7 +19,6 @@ from .errors import NotExtremal
 from .labeling import BubbleLabel
 from .posets import (
     FinitePoset,
-    _masks,
     is_extremal,
     join_irreducibles,
     lattice_tables,
@@ -242,10 +241,8 @@ def max_orthogonal_pairs(G: GaloisGraph) -> OrthogonalPairs:
         pairs.append((names(ext), tuple(verts[v] for v in intent)))
     # extent i lies below extent j iff it is a subset; int64 holds k <= 63 bits
     masks = np.array(ordered, dtype=np.int64 if k < 64 else object)
+    subset = np.empty((len(ordered), len(ordered)), dtype=bool)
     step = max(1, _BLOCK_ENTRIES // len(ordered))
-    ups = [
-        up
-        for lo in range(0, len(ordered), step)
-        for up in _masks((masks[lo:lo + step, None] & ~masks) == 0)
-    ]
-    return OrthogonalPairs(tuple(pairs), FinitePoset.from_leq_masks(len(ordered), ups))
+    for lo in range(0, len(ordered), step):
+        subset[lo:lo + step] = (masks[lo:lo + step, None] & ~masks) == 0
+    return OrthogonalPairs(tuple(pairs), FinitePoset.from_matrix(subset))

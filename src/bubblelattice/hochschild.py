@@ -14,7 +14,7 @@ import numpy as np
 
 from .bubble import LatticeFamily
 from .errors import InvalidTriword, WrongFamily
-from .posets import FinitePoset, _masks
+from .posets import FinitePoset
 from .words import ShuffleWord
 
 
@@ -69,7 +69,7 @@ def hochschild_lattice(n: int) -> tuple[tuple[Triword, ...], FinitePoset]:
     tris = enumerate_triwords(n)
     entries = np.array([t.entries for t in tris], dtype=np.int8)
     leq = (entries[:, None] <= entries[None]).all(axis=-1)
-    return tris, FinitePoset.from_leq_masks(len(tris), _masks(leq))
+    return tris, FinitePoset.from_matrix(leq)
 
 
 def sigma_tilde(u: ShuffleWord, n: int) -> Triword:

@@ -29,6 +29,41 @@ def _bits(mask: int):
         mask ^= low
 
 
+# entries per row block when ``FinitePoset.from_matrix`` tests and packs a
+# relation, so that none of its temporaries is a second N x N array
+_ROW_BLOCK = 1 << 20
+
+
+def _reach(n: int, succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """A topological order of the graph ``succ`` on 0..n-1, smallest id
+    first among the elements ready, and the reflexive reachability bitmask
+    of each element, the OR over its successors in one reverse pass.
+    Raises ValueError on a cycle."""
+    indeg = [0] * n
+    for targets in succ:
+        for j in targets:
+            indeg[j] += 1
+    heap = [i for i in range(n) if indeg[i] == 0]
+    heapq.heapify(heap)
+    topo: list[int] = []
+    while heap:
+        i = heapq.heappop(heap)
+        topo.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    if len(topo) != n:
+        raise ValueError("relation contains a cycle")
+    reach = [0] * n
+    for i in reversed(topo):
+        mask = 1 << i
+        for j in succ[i]:
+            mask |= reach[j]
+        reach[i] = mask
+    return topo, reach
+
+
 class FinitePoset:
     """A finite poset given by its cover (Hasse) relation.
 
@@ -51,35 +86,9 @@ class FinitePoset:
             down_adj[b].add(a)
         self.up_adj = tuple(tuple(sorted(s)) for s in up_adj)
         self.down_adj = tuple(tuple(sorted(s)) for s in down_adj)
-
-        # deterministic topological order (smallest id first among minimal)
-        indeg = [len(down_adj[i]) for i in range(n)]
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        topo: list[int] = []
-        while heap:
-            i = heapq.heappop(heap)
-            topo.append(i)
-            for j in self.up_adj[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(heap, j)
-        if len(topo) != n:
-            raise ValueError("cover relation contains a cycle")
+        topo, up = _reach(n, self.up_adj)
+        _, down = _reach(n, self.down_adj)
         self.topo = tuple(topo)
-
-        up = [0] * n
-        for i in reversed(topo):
-            mask = 1 << i
-            for j in self.up_adj[i]:
-                mask |= up[j]
-            up[i] = mask
-        down = [0] * n
-        for i in topo:
-            mask = 1 << i
-            for j in self.down_adj[i]:
-                mask |= down[j]
-            down[i] = mask
         self.up = tuple(up)
         self.down = tuple(down)
 
@@ -139,24 +148,15 @@ class FinitePoset:
 
     def subposet(self, elements: Sequence[int]) -> "FinitePoset":
         """Induced subposet; element k of the result is elements[k]."""
-        index = {e: k for k, e in enumerate(elements)}
-        if len(index) != len(elements):
+        if len(set(elements)) != len(elements):
             raise ValueError("duplicate elements")
-        masks = []
-        for e in elements:
-            mask = 0
-            for f in elements:
-                if self.leq(e, f):
-                    mask |= 1 << index[f]
-            masks.append(mask)
-        return FinitePoset.from_leq_masks(len(elements), masks)
+        return FinitePoset.from_matrix(self.leq_matrix[np.ix_(elements, elements)])
 
     @property
     def leq_matrix(self) -> np.ndarray:
         cached = self.__dict__.get("_leq_matrix")
         if cached is None:
-            bits = np.unpackbits(_packed(self.up), axis=1, bitorder="little")
-            cached = bits[:, : self.n].astype(bool)
+            cached = _matrix(self.up)
             cached.flags.writeable = False
             self.__dict__["_leq_matrix"] = cached
         return cached
@@ -164,35 +164,49 @@ class FinitePoset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_leq_masks(cls, n: int, up_masks: Sequence[int]) -> "FinitePoset":
-        """Build from reflexive reachability bitmasks via transitive reduction."""
-        down = [0] * n
-        for i in range(n):
-            if not (up_masks[i] >> i) & 1:
-                raise ValueError("relation must be reflexive")
-            for j in _bits(up_masks[i]):
-                down[j] |= 1 << i
-        covers = []
-        for i in range(n):
-            strict_up = up_masks[i] & ~(1 << i)
-            for j in _bits(strict_up):
-                if i != j and (up_masks[j] >> i) & 1:
-                    raise ValueError("relation is not antisymmetric")
-                between = strict_up & down[j] & ~(1 << j)
-                if not between:
-                    covers.append((i, j))
-        return cls(n, covers)
+    def from_matrix(cls, leq: np.ndarray) -> "FinitePoset":
+        """The poset whose order is the N x N bool matrix ``leq``, by
+        transitive reduction; ValueError unless ``leq`` is reflexive,
+        antisymmetric and transitive.
+
+        Sorted by up-set size, largest first, the elements are in a linear
+        extension, so the least position above p that no upper cover found
+        so far lies below is p's next upper cover: cover jumping, one
+        lowest-bit and one AND-NOT per cover on the up-sets, held as
+        bitmasks over positions and permuted and packed in row blocks.  The
+        relation is transitive iff the closure of these covers equals it.
+        """
+        leq = np.asarray(leq, dtype=bool)
+        n = len(leq)
+        if leq.shape != (n, n):
+            raise ValueError(f"relation matrix of shape {leq.shape} is not square")
+        if not leq.diagonal().all():
+            raise ValueError("relation must be reflexive")
+        step = max(1, _ROW_BLOCK // max(n, 1))
+        for lo in range(0, n, step):
+            both = leq[lo : lo + step] & leq[:, lo : lo + step].T
+            np.fill_diagonal(both[:, lo:], False)
+            if both.any():
+                raise ValueError("relation is not antisymmetric")
+        order = np.argsort(-leq.sum(axis=1), kind="stable")
+        ups = [up for lo in range(0, n, step) for up in _masks(leq[np.ix_(order[lo : lo + step], order)])]
+        covers: list[list[int]] = [[] for _ in range(n)]
+        for p, up in enumerate(ups):
+            rest = (up >> (p + 1)) << (p + 1)
+            while rest:
+                q = (rest & -rest).bit_length() - 1
+                covers[p].append(q)
+                rest &= ~ups[q]
+        if _reach(n, covers)[1] != ups:
+            raise ValueError("relation is not transitive")
+        ids = order.tolist()
+        return cls(n, [(ids[p], ids[q]) for p in range(n) for q in covers[p]])
 
     @classmethod
     def from_leq(cls, n: int, leq: Callable[[int, int], bool]) -> "FinitePoset":
-        masks = []
-        for i in range(n):
-            mask = 0
-            for j in range(n):
-                if leq(i, j):
-                    mask |= 1 << j
-            masks.append(mask)
-        return cls.from_leq_masks(n, masks)
+        """``from_matrix`` on the n x n matrix of the predicate ``leq``."""
+        matrix = np.array([[leq(i, j) for j in range(n)] for i in range(n)], dtype=bool)
+        return cls.from_matrix(matrix.reshape(n, n))
 
     # -- exports -----------------------------------------------------------
 
@@ -234,6 +248,11 @@ def _masks(matrix: np.ndarray) -> list[int]:
     """Row i of a bool matrix as a bitmask: the inverse of ``_packed``."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _matrix(masks: Sequence[int]) -> np.ndarray:
+    """The bitmasks of n elements as an n x n bool matrix: the inverse of ``_masks``."""
+    return np.unpackbits(_packed(masks), axis=1, count=len(masks), bitorder="little").view(bool)
 
 
 # the tables hold element ids, so they index at most TABLE_LIMIT elements and
@@ -484,23 +503,12 @@ def doubling(P: FinitePoset, subset: Iterable[int]) -> FinitePoset:
     subset at level 1 together with (complement of that down-set) union the
     subset at level 2.
     """
-    sub = set(subset)
-    below = 0
-    for x in sub:
-        below |= P.down[x]
-    ground: list[tuple[int, int]] = []
-    for i in range(P.n):
-        if (below >> i) & 1:
-            ground.append((i, 1))
-    for i in range(P.n):
-        if not (below >> i) & 1 or i in sub:
-            ground.append((i, 2))
-
-    def leq(a: int, b: int) -> bool:
-        (pa, la), (pb, lb) = ground[a], ground[b]
-        return la <= lb and P.leq(pa, pb)
-
-    return FinitePoset.from_leq(len(ground), leq)
+    sub = np.zeros(P.n, dtype=bool)
+    sub[list(subset)] = True
+    below = P.leq_matrix[:, sub].any(axis=1)
+    ground = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below | sub)])
+    upper = np.arange(len(ground)) >= below.sum()  # the points at level 2
+    return FinitePoset.from_matrix(P.leq_matrix[np.ix_(ground, ground)] & (upper[:, None] <= upper))
 
 
 # -- crowns -------------------------------------------------------------------

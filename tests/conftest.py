@@ -16,7 +16,10 @@ that the kappa route to semidistributivity replaced, and
 ``oracle_left_modular_test`` the full-matrix left-modularity test that the
 row-blocked one replaced.  ``is_isomorphic`` is
 a backtracking isomorphism search for small posets, which the Galois check
-replaced by Markowsky's canonical map.
+replaced by Markowsky's canonical map.  ``oracle_reduction`` is the
+transitive reduction by a walk over every bit of every up-set, which cover
+jumping in ``FinitePoset.from_matrix`` replaced, and ``closure_matrix`` the
+move closure by iterated squaring, which the one topological pass replaced.
 """
 
 from __future__ import annotations
@@ -176,6 +179,33 @@ def oracle_join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
 def oracle_meet(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
     """The dual of a join: swap the alphabets, join, swap back."""
     return dualize(oracle_join(dualize(u), dualize(v)))
+
+
+def mask_matrix(masks: list[int]) -> np.ndarray:
+    """Bitmask i as bool row i of an n x n matrix, n the number of masks."""
+    n = len(masks)
+    return np.array([[bool(mask >> j & 1) for j in range(n)] for mask in masks], dtype=bool).reshape(n, n)
+
+
+def oracle_reduction(up_masks: list[int]) -> list[tuple[int, int]]:
+    """The covers of reflexive reachability bitmasks, for every strict pair
+    i < j by a test that nothing lies between them."""
+    n = len(up_masks)
+    down = [0] * n
+    for i in range(n):
+        if not (up_masks[i] >> i) & 1:
+            raise ValueError("relation must be reflexive")
+        for j in _bits(up_masks[i]):
+            down[j] |= 1 << i
+    covers = []
+    for i in range(n):
+        strict_up = up_masks[i] & ~(1 << i)
+        for j in _bits(strict_up):
+            if (up_masks[j] >> i) & 1:
+                raise ValueError("relation is not antisymmetric")
+            if not strict_up & down[j] & ~(1 << j):
+                covers.append((i, j))
+    return covers
 
 
 def oracle_lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:

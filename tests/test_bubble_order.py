@@ -81,6 +81,12 @@ class TestBubbleOrder:
             for j, v in enumerate(family.words):
                 assert leq_bubble(u, v) == bool(reach[i] >> j & 1)
 
+    @pytest.mark.parametrize("m,n", splits(4))
+    def test_move_closure_by_one_pass_is_the_squaring_oracle(self, m, n, bubble):
+        from bubblelattice.checks import _move_closure
+
+        assert _move_closure(bubble(m, n)) == closure_matrix(bubble(m, n))
+
     @pytest.mark.parametrize("m,n", splits(6))
     def test_partial_order_axioms(self, m, n, bubble):
         from bubblelattice.checks import check_order_axioms

@@ -1,6 +1,9 @@
 """The batch front-end: subcommands, reports, exports, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from bubblelattice.exports import element_table_csv, sigma_table_csv
 from bubblelattice.bubble import build_bubble_lattice
 
 from conftest import replace_everywhere
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TABLE_21_CSV_ROWS = {
     ("-", ""),
@@ -170,8 +175,22 @@ class TestCheck:
         # refused like an unknown suite, before anything is built or printed
         with pytest.raises(SystemExit) as exc:
             run(["check", "2", "1", "--suite", suites], tmp_path, monkeypatch, capsys)
-        assert "bad suite list" in str(exc.value.code)
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and "bad suite list" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("suites", ["nope", ",", "order,order"])
+    def test_sweep_refuses_a_suite_list_as_check_does(self, suites, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "1", "1", "--suite", suites])
+        refusal = capsys.readouterr().err.splitlines()[-1].split("error: ", 1)[1]
+        sweep = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_checks.py"), "--suite", suites],
+            capture_output=True,
+            text=True,
+        )
+        assert exc.value.code == sweep.returncode == 2 and sweep.stdout == ""
+        assert sweep.stderr.splitlines()[-1].split("error: ", 1)[1] == refusal
 
     @pytest.mark.parametrize(
         "argv",

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from bubblelattice import bubble, galois, hochschild, labeling, posets, words
+from bubblelattice import bubble, checks, galois, hochschild, labeling, posets, words
 from bubblelattice.bubble import build_bubble_lattice
 from bubblelattice.cli import main
 
@@ -350,6 +350,49 @@ def test_order_axioms_transitivity_witness(monkeypatch, capsys):
     assert u == min(a for a in range(P.n) if any(P.up_adj[c] for c in P.up_adj[a]))
     assert v == min(c for c in P.up_adj[u] if P.up_adj[c])
     assert w == min(P.up_adj[v])
+
+
+def test_order_axioms_walks_no_bits_on_a_passing_family(monkeypatch, capsys):
+    def no_walk(*args):
+        raise AssertionError("walked the up-sets of R")
+
+    monkeypatch.setattr(checks, "_masks", no_walk)
+    assert main(["check", "3", "2", "--suite", "order"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+def test_order_axioms_passes_a_transitive_relation_off_the_closure(monkeypatch, capsys):
+    """One constructive cover dropped, R kept: the closure of the covers is
+    no longer R, so order.axioms walks R, which is still an order, and
+    passes, while order.covers_match_reduction names the first pair where
+    the closure and R differ."""
+    ws = build_bubble_lattice(2, 2).words
+    original = bubble.upper_covers
+    lost = ws[0]
+
+    def drops_first_cover(u):
+        covers = original(u)
+        return covers[1:] if u == lost else covers
+
+    def above(u):
+        seen, todo = {u}, [u]
+        while todo:
+            for c, _ in drops_first_cover(todo.pop()):
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        return seen
+
+    ups = [above(u) for u in ws]
+    first = next(
+        [str(u), str(v)] for u, up in zip(ws, ups) for v in ws if (v in up) != bubble.leq_bubble(u, v)
+    )
+    replace_everywhere(monkeypatch, original, drops_first_cover)
+    assert main(["check", "2", "2", "--suite", "order"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == ["order.covers_match_reduction"]
+    detail = next(c["detail"] for c in report["checks"] if c["id"] == "order.covers_match_reduction")
+    assert detail["witness"] == first
 
 
 def test_covers_match_reduction_witness(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bubblelattice import posets
 from bubblelattice.bubble import extremal_chain_words
@@ -35,9 +35,11 @@ from bubblelattice.posets import (
 
 from conftest import (
     is_isomorphic,
+    mask_matrix,
     oracle_lattice_tables,
     oracle_left_modular_test,
     oracle_polygonal_intervals,
+    oracle_reduction,
     semidistributive_half,
     splits,
 )
@@ -164,9 +166,7 @@ def closure_lattices(draw):
     for s in draw(st.lists(st.integers(0, full), max_size=10)):
         family |= {s & t for t in family}
     sets = sorted(family)
-    return FinitePoset.from_leq_masks(
-        len(sets), [sum(1 << k for k, t in enumerate(sets) if s & t == s) for s in sets]
-    )
+    return FinitePoset.from_matrix(np.array([[s & t == s for t in sets] for s in sets]))
 
 
 def assert_kappa_halves_match_triple_scan(P):
@@ -513,7 +513,7 @@ def random_poset(draw, max_n: int = 7):
             if merged != masks[a]:
                 masks[a] = merged
                 changed = True
-    return FinitePoset.from_leq_masks(n, masks), masks
+    return FinitePoset.from_matrix(mask_matrix(masks)), masks
 
 
 class TestEngineAgainstNaiveDefinitions:
@@ -613,7 +613,7 @@ def random_bounded_poset(draw, max_n: int = 8):
         n = P.n + 2
         top = 1 << (n - 1)
         masks = [(1 << n) - 1] + [(m << 1) | top for m in masks] + [top]
-        P = FinitePoset.from_leq_masks(n, masks)
+        P = FinitePoset.from_matrix(mask_matrix(masks))
     return P
 
 
@@ -624,6 +624,48 @@ def relabelled_bounded_poset(draw):
     P = draw(random_bounded_poset())
     perm = draw(st.permutations(range(P.n)))
     return FinitePoset(P.n, [(perm[a], perm[b]) for a, b in P.edges()])
+
+
+class TestFromMatrix:
+    """Cover jumping against the bit-walk reduction it replaced, and the
+    relations it refuses."""
+
+    @given(st.one_of(random_poset().map(lambda data: data[0]), relabelled_bounded_poset(), closure_lattices()))
+    def test_covers_match_the_bit_walk(self, P):
+        Q = FinitePoset.from_matrix(P.leq_matrix)
+        assert Q.edges() == sorted(oracle_reduction(list(P.up))) == P.edges()
+        assert Q.up == P.up and Q.topo == P.topo
+
+    @given(random_poset(), st.data())
+    def test_refuses_a_dropped_comparison(self, poset, data):
+        """Without one pair i < j that is not a cover, the relation keeps a
+        chain i < k < j and is not transitive."""
+        P, _ = poset
+        pairs = [(i, j) for i in range(P.n) for j in range(P.n) if P.leq(i, j) and i != j and j not in P.up_adj[i]]
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        leq = P.leq_matrix.copy()
+        leq[i, j] = False
+        with pytest.raises(ValueError, match="^relation is not transitive$"):
+            FinitePoset.from_matrix(leq)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["10", "01", "00"], "not square"),
+            (["01", "01"], "must be reflexive"),
+            (["11", "11"], "not antisymmetric"),
+            # 0 <= 1 <= 2 but not 0 <= 2
+            (["110", "011", "001"], "not transitive"),
+            # the same with 2 <= 0: a cycle, though no two elements are mutually below
+            (["110", "011", "101"], "not transitive"),
+            # the covers 0 -> 1 -> 2 -> 3 and 0 -> 3, where 1 <= 3 is missing
+            (["1111", "0110", "0011", "0001"], "not transitive"),
+        ],
+    )
+    def test_refuses_a_relation_that_is_not_an_order(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            FinitePoset.from_matrix(np.array([[c == "1" for c in row] for row in rows]))
 
 
 def assert_matches_oracles(P):
