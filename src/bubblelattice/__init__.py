@@ -9,7 +9,6 @@ from .bubble import (
     leq_bubble,
     leq_shuffle,
     meet,
-    upper_covers,
 )
 from .hochschild import (
     Triword,
@@ -18,7 +17,7 @@ from .hochschild import (
     sigma_tilde,
     verify_hochschild_iso,
 )
-from .labeling import BubbleLabel, build_label_poset, lambda_bubble, verify_cu_labeling
+from .labeling import BubbleLabel, build_label_poset, verify_cu_labeling
 from .galois import (
     GaloisGraph,
     bubble_galois_explicit,

@@ -4,26 +4,22 @@ The shuffle order moves upward by inserting y-letters or deleting
 x-letters; the bubble order additionally allows swapping an adjacent
 ``x y`` pair into ``y x``.  Covers in the bubble order are generated
 constructively (per-letter right indels and transpositions) rather than by
-transitive reduction.  Both orders, joins (the y-filling formula) and meets
-(its dual) run on the bitmask code of ``ShuffleWord.code``, per pair or, in
-``filling_tables``, as numpy rows of the join and meet tables.
+transitive reduction.  Covers, both orders, joins (the y-filling formula)
+and meets (its dual) run on the bitmask code of ``ShuffleWord.code``, per
+pair or as numpy arrays over a whole family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded
-from .posets import TABLE_DTYPE, TABLE_LIMIT, FinitePoset
-from .words import (
-    Letter,
-    ShuffleWord,
-    _insert_y,
-    _place,
-    count_shuffle,
-    enumerate_shuffle,
-)
+from .posets import _ROW_BLOCK, TABLE_DTYPE, TABLE_LIMIT, FinitePoset
+from .words import Letter, ShuffleWord, _place, count_shuffle, enumerate_shuffle
 
 DEFAULT_CAP = 20_000
 
@@ -52,33 +48,47 @@ def leq_bubble(u: ShuffleWord, v: ShuffleWord) -> bool:
     return True
 
 
+def _codes(words: Sequence[ShuffleWord], dtype=np.int64):
+    """The x-masks, y-masks, rows and cols of one family's words, as arrays."""
+    return tuple(np.array(part, dtype=dtype) for part in zip(*(w.code for w in words)))
+
+
+def _filled(rows, movers):
+    """``rows`` with each missing mover's row replaced by that of the next
+    larger present mover, or 0 past the last: the slot rule of ``y_fill``."""
+    filled = rows.copy()
+    for t in range(rows.shape[1] - 2, 0, -1):
+        missing = (movers >> t & 1) == 0
+        filled[missing, t] = filled[missing, t + 1]
+    return filled
+
+
 def order_relations(words: Sequence[ShuffleWord]):
     """The bubble and shuffle relations on ``words``, as N x N bool matrices.
 
     Entry [i, j] is ``leq_bubble(words[i], words[j])`` (resp.
-    ``leq_shuffle``), computed from ``ShuffleWord.code`` in blocks of rows,
-    so that no temporary is larger than one result.
+    ``leq_shuffle``), from ``ShuffleWord.code`` in the narrowest unsigned
+    dtype that holds every letter's bit, in blocks of about ``_ROW_BLOCK``
+    entries, so that no temporary is near N x N.
     """
-    import numpy as np
-
     count = len(words)
-    width = max((w.n for w in words), default=0) + 1
-    xs = np.array([w.code[0] for w in words], dtype=np.int64)
-    ys = np.array([w.code[1] for w in words], dtype=np.int64)
-    rows = np.array([w.code[2] for w in words], dtype=np.int64).reshape(count, width)
+    dtype = np.min_scalar_type(1 << max((max(w.m, w.n) for w in words), default=0))
+    xs, ys, rows, _ = _codes(words, dtype)
+    rows = np.ascontiguousarray(rows.T)  # rows[t] holds row t of every word
     bubble = np.empty((count, count), dtype=bool)
     shuffle = np.empty((count, count), dtype=bool)
-    step = max(1, count // 8)
+    step = max(1, _ROW_BLOCK // max(count, 1))
     for lo in range(0, count, step):
-        x, y = xs[lo:lo + step, None], ys[lo:lo + step, None]
+        block = slice(lo, lo + step)
+        x, y = xs[block, None], ys[block, None]
         supports = ((xs & ~x) == 0) & ((y & ~ys) == 0)
-        bub, shuf = bubble[lo:lo + step], shuffle[lo:lo + step]
+        bub, shuf = bubble[block], shuffle[block]
         bub[:] = supports
         shuf[:] = supports
-        for t in range(1, width):
-            kept = rows[lo:lo + step, t, None] & xs
-            bub &= (kept & ~rows[:, t]) == 0
-            shuf &= (kept == rows[:, t]) | ((y >> t) & 1 == 0)
+        for t in range(1, len(rows)):
+            kept = rows[t, block, None] & xs
+            bub &= (kept & ~rows[t]) == 0
+            shuf &= (kept == rows[t]) | ((y >> t) & 1 == 0)
     bubble.flags.writeable = shuffle.flags.writeable = False
     return bubble, shuffle
 
@@ -95,38 +105,45 @@ class CoverStep:
     t: Optional[int] = None
 
 
-def upper_covers(u: ShuffleWord) -> list[tuple[ShuffleWord, CoverStep]]:
-    """All covers of u in the bubble order, built letter by letter.
+STEP_KINDS = ("delete_x", "insert_y", "transposition")  # by their codes in ``_cover_steps``
 
-    Each x-letter present yields one cover (delete it when followed by
-    another x or final, else transpose it with the y right after it), and
-    each y-letter absent yields one cover (insert it right before the next
-    larger present y, else at the end).
+
+def _cover_steps(words: Sequence[ShuffleWord]):
+    """The upper covers of the words of one family, as int arrays ``(src,
+    dst, kind, s, t)``: ``words[dst]`` covers ``words[src]`` by the step
+    ``CoverStep(STEP_KINDS[kind], s, t)``, read off the code.  A present
+    x_s swaps with y_t, the first y after it, when no x lies between, so
+    bit s joins ``rows[t]``, and is deleted otherwise; an absent y_j takes
+    the row of the next larger present y, or 0.  Each cover is looked up by
+    its ``_union_keys`` key; one missing from ``words`` raises ValueError.
     """
-    out: list[tuple[ShuffleWord, CoverStep]] = []
-    seq = u.letters
-    for pos, letter in enumerate(seq):
-        if not letter.is_x:
-            continue
-        if pos + 1 == len(seq) or seq[pos + 1].is_x:
-            covered = seq[:pos] + seq[pos + 1:]
-            out.append(
-                (ShuffleWord(covered, u.m, u.n), CoverStep("delete_x", s=letter.index))
-            )
-        else:
-            nxt = seq[pos + 1]
-            covered = seq[:pos] + (nxt, letter) + seq[pos + 2:]
-            out.append(
-                (
-                    ShuffleWord(covered, u.m, u.n),
-                    CoverStep("transposition", s=letter.index, t=nxt.index),
-                )
-            )
-    for j in range(1, u.n + 1):
-        if j not in u.ysupport:
-            covered = ShuffleWord(_insert_y(seq, j), u.m, u.n)
-            out.append((covered, CoverStep("insert_y", t=j)))
-    return out
+    xs, ys, rows, cols = _codes(words)
+    width = int(np.bitwise_or.reduce(xs, initial=0)).bit_length()
+    batches = [(xs[:0], xs[:0], 0, 0, 0)]  # (src, cover keys, kind, s, t); empty without covers
+    for s in range(1, cols.shape[1]):
+        src = np.flatnonzero(xs >> s & 1)
+        after = cols[src, s]
+        t = np.searchsorted(1 << np.arange(rows.shape[1]), after & -after)  # the first y after x_s, or 0
+        new = rows[src]
+        swap = (t > 0) & ((xs[src] & ~new[np.arange(len(src)), t]) >> (s + 1) == 0)
+        new[swap, t[swap]] |= 1 << s
+        keep = np.where(swap, xs[src], xs[src] & ~(1 << s))
+        covers = _union_keys(keep, ys[src], new, new, width)
+        batches.append((src, covers, 2 * swap, s, np.where(swap, t, 0)))
+    filled = _filled(rows, ys)
+    for j in range(1, rows.shape[1]):
+        src = np.flatnonzero(ys >> j & 1 == 0)
+        covers = _union_keys(xs[src], ys[src] | 1 << j, filled[src], filled[src], width)
+        batches.append((src, covers, 1, 0, j))
+    columns = (np.concatenate([np.broadcast_to(b[k], b[0].shape) for b in batches]) for k in range(5))
+    src, covers, kind, s, t = columns
+    keys = _union_keys(xs, ys, rows, rows, width)
+    order = np.argsort(keys)
+    pos = np.searchsorted(keys[order], covers).clip(max=len(keys) - 1)
+    missing = np.flatnonzero(keys[order[pos]] != covers)
+    if len(missing):
+        raise ValueError(f"a cover of {words[src[missing[0]]]} is not among the words")
+    return src, order[pos], kind.astype(np.int8), s.astype(np.int8), t.astype(np.int8)
 
 
 def join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
@@ -176,30 +193,21 @@ def filling_tables(words: Sequence[ShuffleWord]):
 
     Entry [a - lo, b] is the index in ``words`` of ``join(words[a], words[b])``
     (resp. ``meet``), or -1 where that word is not in ``words``.  Each word's
-    mover rows are filled by the slot rule of ``_filled_union``; the union of
+    mover rows are filled by the slot rule (``_filled``); the union of
     two filled words is packed into an int64 key and looked up among the keys
     of ``words``.  The meet is the join with x and y exchanged, on ``cols``.
     Blocks hold about ``_BLOCK_ENTRIES`` entries, so no N x N table is built.
     """
-    import numpy as np
-
     count = len(words)
     if not count:
         return
-    codes = [w.code for w in words]
-    xs = np.array([c[0] for c in codes], dtype=np.int64)
-    ys = np.array([c[1] for c in codes], dtype=np.int64)
+    xs, ys, rows, cols = _codes(words)
     sides = []
-    for fixed, movers, part in ((xs, ys, 2), (ys, xs, 3)):
-        rows = np.array([c[part] for c in codes], dtype=np.int64).reshape(count, -1)
-        filled = rows.copy()
-        for t in range(rows.shape[1] - 2, 0, -1):
-            missing = (movers >> t & 1) == 0
-            filled[missing, t] = filled[missing, t + 1]
+    for fixed, movers, own in ((xs, ys, rows), (ys, xs, cols)):
         width = int(np.bitwise_or.reduce(fixed, initial=0)).bit_length()
-        keys = _union_keys(fixed, movers, rows, rows, width)  # a word is its own union
+        keys = _union_keys(fixed, movers, own, own, width)  # a word is its own union
         order = np.argsort(keys)
-        sides.append((fixed, movers, filled, width, keys[order], order))
+        sides.append((fixed, movers, _filled(own, movers), width, keys[order], order))
     step = max(1, _BLOCK_ENTRIES // count)
     for lo in range(0, count, step):
         found = []
@@ -237,24 +245,19 @@ class LatticeFamily:
     n: int
     words: tuple[ShuffleWord, ...]
     poset: FinitePoset
+    steps: tuple = field(default=(), repr=False, compare=False)  # ``_cover_steps`` of a bubble family
 
     def index(self, u: ShuffleWord) -> int:
         return self._index[u]
 
-    @property
+    @cached_property
     def relations(self):
         """The bubble and shuffle matrices of ``order_relations(self.words)``."""
-        if "_relations" not in self.__dict__:
-            self.__dict__["_relations"] = order_relations(self.words)
-        return self.__dict__["_relations"]
+        return order_relations(self.words)
 
-    @property
+    @cached_property
     def _index(self) -> dict[ShuffleWord, int]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {w: i for i, w in enumerate(self.words)}
-            self.__dict__["_index_cache"] = cached
-        return cached
+        return {w: i for i, w in enumerate(self.words)}
 
     def labels(self) -> list[str]:
         return [str(w) for w in self.words]
@@ -274,15 +277,13 @@ def _check_cap(m: int, n: int, cap: Optional[int]) -> None:
 
 
 def build_bubble_lattice(m: int, n: int, cap: Optional[int] = None) -> LatticeFamily:
-    """Hasse diagram of the bubble order, from the constructive cover rules."""
+    """Hasse diagram of the bubble order from the cover rules; keeps the steps."""
     _check_cap(m, n, cap)
     words = enumerate_shuffle(m, n)
-    index = {w: i for i, w in enumerate(words)}
-    pairs = []
-    for i, w in enumerate(words):
-        for cov, _step in upper_covers(w):
-            pairs.append((i, index[cov]))
-    return LatticeFamily(m, n, words, FinitePoset(len(words), pairs))
+    steps = _cover_steps(words)
+    ids = list(range(len(words)))  # one int object per element, shared by its edges
+    edges = zip(map(ids.__getitem__, steps[0].tolist()), map(ids.__getitem__, steps[1].tolist()))
+    return LatticeFamily(m, n, words, FinitePoset(len(words), edges), steps)
 
 
 def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFamily:

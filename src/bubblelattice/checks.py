@@ -34,10 +34,9 @@ from .labeling import (
     build_label_poset,
     check_cu_equals_jsd,
     edge_labels,
-    lambda_bubble,
     verify_cu_labeling,
 )
-from .posets import FinitePoset, _bits, _masks, _matrix, _reach
+from .posets import _ROW_BLOCK, FinitePoset, _bits, _masks, _packed, _reach
 from .words import Letter, ShuffleWord, dualize, y_fill
 
 @dataclass
@@ -69,6 +68,17 @@ def _witness(words, bad: np.ndarray, lo: int = 0) -> dict:
         return {}
     a, b = divmod(int(hits[0]), bad.shape[1])
     return _pair(words, [(lo + a, b)])
+
+
+def _first_witness(words, bad) -> dict:
+    """``_witness`` of the first pair marked by ``bad``, which maps a slice of
+    rows to their block of the pair matrix; blocks hold ``_ROW_BLOCK`` entries."""
+    step = max(1, _ROW_BLOCK // max(len(words), 1))
+    for lo in range(0, len(words), step):
+        detail = _witness(words, bad(slice(lo, lo + step)), lo)
+        if detail:
+            return detail
+    return {}
 
 
 def _pair(words, pairs) -> dict:
@@ -125,12 +135,16 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
     with u <= v <= u, else the first triple (u, v, w) with u <= v <= w but
     not u <= w.  A relation equal to the closure of the covers is transitive,
     so the triples are walked only when the two differ."""
-    rel = family.relations[0]
+    rel, leq = family.relations[0], family.poset.leq_matrix
     words = family.words
-    bad = rel & rel.T  # off the diagonal: u <= v <= u with u != v
-    np.fill_diagonal(bad, ~rel.diagonal())  # on it: u not <= u
-    detail = _witness(words, bad)
-    if not detail and not np.array_equal(family.poset.leq_matrix, rel):
+
+    def bad(rows):
+        both = rel[rows] & rel[:, rows].T  # off the diagonal: u <= v <= u with u != v
+        np.fill_diagonal(both[:, rows.start :], ~rel.diagonal()[rows])  # on it: u not <= u
+        return both
+
+    detail = _first_witness(words, bad)
+    if not detail and _first_witness(words, lambda rows: leq[rows] != rel[rows]):
         ups = _masks(rel)
         hit = next(((i, j) for i, up in enumerate(ups) for j in _bits(up) if ups[j] & ~up), None)
         if hit:
@@ -141,14 +155,19 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
 
 
 def check_move_closure(family: LatticeFamily) -> CheckResult:
-    bad = _matrix(_move_closure(family)) != family.relations[0]
-    return _result("order.move_closure", not bad.any(), _witness(family.words, bad))
+    closure, rel, count = _packed(_move_closure(family)), family.relations[0], len(family.words)
+
+    def bad(rows):
+        return np.unpackbits(closure[rows], axis=1, count=count, bitorder="little").view(bool) != rel[rows]
+
+    detail = _first_witness(family.words, bad)
+    return _result("order.move_closure", not detail, detail)
 
 
 def check_shuffle_suborder(family: LatticeFamily) -> CheckResult:
     bubble, shuffle = family.relations
-    bad = shuffle & ~bubble
-    return _result("order.shuffle_suborder", not bad.any(), _witness(family.words, bad))
+    detail = _first_witness(family.words, lambda rows: shuffle[rows] & ~bubble[rows])
+    return _result("order.shuffle_suborder", not detail, detail)
 
 
 def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
@@ -156,8 +175,9 @@ def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
     relation R.  ``FinitePoset`` refuses a cycle and any edge that is not a
     cover of its closure, so the covers are the reduction of R iff their
     closure is R; the witness is the first pair where the two differ."""
-    bad = family.poset.leq_matrix != family.relations[0]
-    return _result("order.covers_match_reduction", not bad.any(), _witness(family.words, bad))
+    leq, rel = family.poset.leq_matrix, family.relations[0]
+    detail = _first_witness(family.words, lambda rows: leq[rows] != rel[rows])
+    return _result("order.covers_match_reduction", not detail, detail)
 
 
 def check_unique_joins(family: LatticeFamily) -> CheckResult:
@@ -298,12 +318,8 @@ def check_galois(family: LatticeFamily) -> CheckResult:
     shortcut = galois_graph_sd(P, ordering)
     if generic.arcs != shortcut.arcs:
         return _result("galois.graphs_coincide", False, {"stage": "sd-shortcut"})
-    vertex_label = {
-        s + 1: lambda_bubble(
-            family.words[P.down_adj[ordering.jseq[s]][0]], family.words[ordering.jseq[s]]
-        )
-        for s in range(ordering.k)
-    }
+    labels = edge_labels(family)
+    vertex_label = {s + 1: labels[(P.down_adj[j][0], j)] for s, j in enumerate(ordering.jseq)}
     explicit = bubble_galois_explicit(family.m, family.n)
     relabeled = generic.relabeled(vertex_label)
     if set(relabeled.vertices) != set(explicit.vertices) or relabeled.arcs != explicit.arcs:

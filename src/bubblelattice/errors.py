@@ -25,10 +25,6 @@ class Unrealizable(WordError):
     """No shuffle word has the requested supports and inversion set."""
 
 
-class NotACover(BubbleLatticeError, ValueError):
-    pass
-
-
 class WrongFamily(BubbleLatticeError, ValueError):
     pass
 

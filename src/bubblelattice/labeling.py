@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
-from .bubble import CoverStep, LatticeFamily, upper_covers
-from .errors import NotACover
+import numpy as np
+
+from .bubble import STEP_KINDS, CoverStep, LatticeFamily
 from .posets import (
     Edge,
     FinitePoset,
@@ -24,7 +26,6 @@ from .posets import (
     meet_irreducibles,
     polygonal_intervals,
 )
-from .words import ShuffleWord
 
 
 _KIND_RANK = {"x": 0, "y": 1, "xy": 2}
@@ -77,21 +78,17 @@ def label_from_step(step: CoverStep) -> BubbleLabel:
     return BubbleLabel.pairlab(step.s, step.t)
 
 
-def lambda_bubble(u: ShuffleWord, v: ShuffleWord) -> BubbleLabel:
-    """Label of the cover from u to v; raises NotACover otherwise."""
-    for cover, step in upper_covers(u):
-        if cover == v:
-            return label_from_step(step)
-    raise NotACover(f"{u} is not covered by {v}")
-
-
 def edge_labels(family: LatticeFamily) -> dict[Edge, BubbleLabel]:
-    """Labels for every Hasse edge of a bubble lattice family."""
-    out: dict[Edge, BubbleLabel] = {}
-    for i, w in enumerate(family.words):
-        for cover, step in upper_covers(w):
-            out[(i, family.index(cover))] = label_from_step(step)
-    return out
+    """Labels for every Hasse edge of a bubble lattice family, read off the
+    cover steps of its build with one ``label_from_step`` per distinct
+    label.  The dict is built once per family and shared by every caller."""
+    if "_edge_labels" not in family.__dict__:
+        src, dst, *step = family.steps
+        distinct, inverse = np.unique(np.stack(step, axis=1), axis=0, return_inverse=True)
+        labels = [label_from_step(CoverStep(STEP_KINDS[k], s, t)) for k, s, t in distinct.tolist()]
+        edges = zip(src.tolist(), dst.tolist())
+        family.__dict__["_edge_labels"] = dict(zip(edges, map(labels.__getitem__, inverse.ravel().tolist())))
+    return family.__dict__["_edge_labels"]
 
 
 @dataclass(frozen=True)
@@ -103,19 +100,12 @@ class LabelPoset:
     labels: tuple[BubbleLabel, ...]
     poset: FinitePoset
 
-    def index(self, lab: BubbleLabel) -> int:
-        return self._index[lab]
-
-    @property
+    @cached_property
     def _index(self) -> dict[BubbleLabel, int]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {lab: i for i, lab in enumerate(self.labels)}
-            self.__dict__["_index_cache"] = cached
-        return cached
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def leq(self, a: BubbleLabel, b: BubbleLabel) -> bool:
-        return self.poset.leq(self.index(a), self.index(b))
+        return self.poset.leq(self._index[a], self._index[b])
 
 
 def label_leq(a: BubbleLabel, b: BubbleLabel) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -29,8 +29,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-# entries per row block when ``FinitePoset.from_matrix`` tests and packs a
-# relation, so that none of its temporaries is a second N x N array
+# entries per row block wherever an N x N relation is built, tested or
+# packed by rows, so that no temporary is a second N x N array
 _ROW_BLOCK = 1 << 20
 
 
@@ -152,14 +152,11 @@ class FinitePoset:
             raise ValueError("duplicate elements")
         return FinitePoset.from_matrix(self.leq_matrix[np.ix_(elements, elements)])
 
-    @property
+    @cached_property
     def leq_matrix(self) -> np.ndarray:
-        cached = self.__dict__.get("_leq_matrix")
-        if cached is None:
-            cached = _matrix(self.up)
-            cached.flags.writeable = False
-            self.__dict__["_leq_matrix"] = cached
-        return cached
+        matrix = _matrix(self.up)
+        matrix.flags.writeable = False
+        return matrix
 
     # -- constructors ------------------------------------------------------
 
@@ -386,21 +383,22 @@ def is_distributive(P: FinitePoset) -> bool:
 
 
 def lambda_jsd(P: FinitePoset, edge: Edge) -> int:
-    """Meet of everything whose join with the lower end gives the upper end.
-
-    The result is required to be join-irreducible; a failure of that
-    requirement signals a lattice that is not join-semidistributive.
+    """Meet of everything whose join with the lower end gives the upper end:
+    the candidate of least height, once its ``leq_matrix`` row is shown to
+    hold every other candidate.  No such candidate, or one that is not
+    join-irreducible, signals a lattice that is not join-semidistributive.
     """
     p, q = edge
     if q not in P.up_adj[p]:
         raise ValueError(f"({p}, {q}) is not a cover")
-    join, meet = _tables(P)
-    candidates = np.nonzero(join[p] == q)[0]
-    label = reduce(lambda a, b: int(meet[a, b]), candidates[1:], int(candidates[0]))
-    if len(P.down_adj[label]) != 1:
-        raise NotJoinSemidistributive(
-            f"edge ({p}, {q}) has non-irreducible label {label}"
-        )
+    join, _ = _tables(P)
+    heights = P.__dict__.get("_heights")
+    if heights is None:
+        heights = P.__dict__["_heights"] = np.array(P.height_below)
+    candidates = np.flatnonzero(join[p] == q)
+    label = int(candidates[np.argmin(heights[candidates])])
+    if not P.leq_matrix[label, candidates].all() or len(P.down_adj[label]) != 1:
+        raise NotJoinSemidistributive(f"edge ({p}, {q}) has no join-irreducible least candidate")
     return label
 
 

@@ -20,11 +20,17 @@ replaced by Markowsky's canonical map.  ``oracle_reduction`` is the
 transitive reduction by a walk over every bit of every up-set, which cover
 jumping in ``FinitePoset.from_matrix`` replaced, and ``closure_matrix`` the
 move closure by iterated squaring, which the one topological pass replaced.
+``upper_covers`` and ``lambda_bubble`` build the covers of a word and label
+a cover letter by letter, the oracle for the covers and labels that
+``bubble._cover_steps`` reads off the code; ``oracle_lambda_jsd`` is the
+meet of the candidates by a reduce over the meet table, which the least
+candidate in ``posets.lambda_jsd`` replaced.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -32,9 +38,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bubblelattice.bubble import LatticeFamily, build_bubble_lattice, build_shuffle_poset
-from bubblelattice.errors import NotALattice
-from bubblelattice.posets import FinitePoset, Polygon, _bits
+from bubblelattice.bubble import CoverStep, LatticeFamily, build_bubble_lattice, build_shuffle_poset
+from bubblelattice.errors import NotALattice, NotJoinSemidistributive
+from bubblelattice.labeling import BubbleLabel, label_from_step
+from bubblelattice.posets import FinitePoset, Polygon, _bits, lattice_tables
 from bubblelattice.words import (
     Letter,
     ShuffleWord,
@@ -179,6 +186,55 @@ def oracle_join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
 def oracle_meet(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
     """The dual of a join: swap the alphabets, join, swap back."""
     return dualize(oracle_join(dualize(u), dualize(v)))
+
+
+def upper_covers(u: ShuffleWord) -> list[tuple[ShuffleWord, CoverStep]]:
+    """All covers of u in the bubble order, built letter by letter.
+
+    Each x-letter present yields one cover (delete it when followed by
+    another x or final, else transpose it with the y right after it), and
+    each y-letter absent yields one cover (insert it right before the next
+    larger present y, else at the end).
+    """
+    out: list[tuple[ShuffleWord, CoverStep]] = []
+    seq = u.letters
+    for pos, letter in enumerate(seq):
+        if not letter.is_x:
+            continue
+        if pos + 1 == len(seq) or seq[pos + 1].is_x:
+            covered = seq[:pos] + seq[pos + 1:]
+            out.append((ShuffleWord(covered, u.m, u.n), CoverStep("delete_x", s=letter.index)))
+        else:
+            nxt = seq[pos + 1]
+            covered = seq[:pos] + (nxt, letter) + seq[pos + 2:]
+            step = CoverStep("transposition", s=letter.index, t=nxt.index)
+            out.append((ShuffleWord(covered, u.m, u.n), step))
+    for j in range(1, u.n + 1):
+        if j not in u.ysupport:
+            at = next((p for p, l in enumerate(seq) if not l.is_x and l.index > j), len(seq))
+            covered = seq[:at] + (Letter.y(j),) + seq[at:]
+            out.append((ShuffleWord(covered, u.m, u.n), CoverStep("insert_y", t=j)))
+    return out
+
+
+def lambda_bubble(u: ShuffleWord, v: ShuffleWord) -> BubbleLabel:
+    """Label of the cover from u to v; raises ValueError otherwise."""
+    for cover, step in upper_covers(u):
+        if cover == v:
+            return label_from_step(step)
+    raise ValueError(f"{u} is not covered by {v}")
+
+
+def oracle_lambda_jsd(P: FinitePoset, edge: tuple[int, int]) -> int:
+    """The meet of every x with p v x = q, by a reduce over the meet table;
+    NotJoinSemidistributive unless it is join-irreducible."""
+    p, q = edge
+    join, meet = lattice_tables(P)
+    candidates = np.nonzero(join[p] == q)[0]
+    label = reduce(lambda a, b: int(meet[a, b]), candidates[1:], int(candidates[0]))
+    if len(P.down_adj[label]) != 1:
+        raise NotJoinSemidistributive(f"edge ({p}, {q}) has non-irreducible label {label}")
+    return label
 
 
 def mask_matrix(masks: list[int]) -> np.ndarray:

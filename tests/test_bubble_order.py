@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from bubblelattice import bubble as bubble_module
 from bubblelattice import checks, posets
 from bubblelattice.bubble import (
+    STEP_KINDS,
+    TABLE_LIMIT,
+    _cover_steps,
+    _union_keys,
     build_bubble_lattice,
     extremal_chain_words,
     filling_tables,
@@ -17,11 +21,11 @@ from bubblelattice.bubble import (
     leq_shuffle,
     meet,
     order_relations,
-    upper_covers,
 )
 from bubblelattice.errors import CapExceeded
 from bubblelattice.posets import FinitePoset
-from bubblelattice.words import ShuffleWord, dualize, parse_word, word_text, y_fill
+from bubblelattice.labeling import edge_labels, label_from_step
+from bubblelattice.words import ShuffleWord, count_shuffle, dualize, parse_word, word_text, y_fill
 
 from conftest import (
     closure_matrix,
@@ -34,11 +38,23 @@ from conftest import (
     random_triple,
     random_word_pair,
     splits,
+    upper_covers,
 )
 
 
 def w(text, m, n):
     return parse_word(text, m, n)
+
+
+def covers_of(family, text):
+    """``{cover: (kind, s, t)}`` of one word, from the family's cover steps."""
+    src, dst, kind, s, t = family.steps
+    i = family.index(w(text, family.m, family.n))
+    return {
+        word_text(family.words[b]): (STEP_KINDS[k], ss, tt)
+        for a, b, k, ss, tt in zip(src.tolist(), dst.tolist(), kind.tolist(), s.tolist(), t.tolist())
+        if a == i
+    }
 
 
 class TestShuffleOrder:
@@ -95,28 +111,61 @@ class TestBubbleOrder:
 
 
 class TestCovers:
-    def test_bottom_covers(self):
-        got = {word_text(v) for v, _ in upper_covers(w("x1.x2", 2, 1))}
-        assert got == {"x1", "x2", "x1.x2.y1"}
+    def test_bottom_covers(self, bubble):
+        assert set(covers_of(bubble(2, 1), "x1.x2")) == {"x1", "x2", "x1.x2.y1"}
 
-    def test_cover_kinds(self):
-        kinds = {
-            word_text(v): step.kind for v, step in upper_covers(w("x1.x2.y1", 2, 1))
-        }
+    def test_cover_kinds(self, bubble):
+        kinds = {v: step[0] for v, step in covers_of(bubble(2, 1), "x1.x2.y1").items()}
         assert kinds == {"x2.y1": "delete_x", "x1.y1.x2": "transposition"}
 
-    def test_transposition_records_new_inversion(self):
+    def test_transposition_records_new_inversion(self, bubble):
         (v, step), = [
-            (v, s) for v, s in upper_covers(w("x1.x2.y1", 2, 1)) if s.kind == "transposition"
+            (v, step) for v, step in covers_of(bubble(2, 1), "x1.x2.y1").items() if step[0] == "transposition"
         ]
-        assert (step.s, step.t) == (2, 1)
-        assert v.inversions - w("x1.x2.y1", 2, 1).inversions == {(2, 1)}
+        assert step[1:] == (2, 1)
+        assert w(v, 2, 1).inversions - w("x1.x2.y1", 2, 1).inversions == {(2, 1)}
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_up_cover_count_formula(self, m, n, bubble):
         family = bubble(m, n)
-        for u in family.words:
-            assert len(upper_covers(u)) == len(u.xsupport) + (n - len(u.ysupport))
+        counts = np.bincount(family.steps[0], minlength=len(family.words))
+        assert counts.tolist() == [len(u.xsupport) + (n - len(u.ysupport)) for u in family.words]
+
+    @pytest.mark.parametrize("m,n", splits(7))
+    def test_steps_and_labels_equal_the_letter_level_oracle(self, m, n, bubble):
+        family = bubble(m, n)
+        expected_steps, expected_labels = {}, {}
+        for i, u in enumerate(family.words):
+            for v, step in upper_covers(u):
+                edge = (i, family.index(v))
+                expected_steps[edge] = (step.kind, step.s or 0, step.t or 0)
+                expected_labels[edge] = label_from_step(step)
+        src, dst, kind, s, t = family.steps
+        steps = zip(src.tolist(), dst.tolist(), kind.tolist(), s.tolist(), t.tolist())
+        assert {(a, b): (STEP_KINDS[k], ss, tt) for a, b, k, ss, tt in steps} == expected_steps
+        assert len(src) == len(expected_steps)
+        assert edge_labels(family) == expected_labels
+
+    def test_cover_outside_the_words_raises(self, bubble):
+        # x1 deletes its x to the empty word, the first word in canonical order
+        words = bubble(2, 1).words
+        assert word_text(words[0]) == "-"
+        with pytest.raises(ValueError, match="not among the words"):
+            _cover_steps(words[1:])
+
+    def test_keys_fit_every_admitted_family(self):
+        """Both sides' keys take (width + 1)(movers + 1) bits, width the
+        bits of the fixed letters' masks: at most 63 for every family of at
+        most TABLE_LIMIT words, so no family the cap admits is refused."""
+        admitted = [(m, n) for m in range(17) for n in range(17) if count_shuffle(m, n) <= TABLE_LIMIT]
+        assert (16, 0) in admitted and (0, 16) in admitted and (5, 5) in admitted
+        for m, n in admitted:
+            for fixed, movers in ((m, n), (n, m)):
+                width = fixed + 1 if fixed else 0
+                assert (width + 1) * (movers + 1) <= 63
+                full = np.array([(1 << width) - 2 if fixed else 0])
+                rows = np.zeros((1, movers + 1), dtype=np.int64)
+                _union_keys(full, np.array([(1 << movers + 1) - 2]), rows, rows, width)
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_covers_match_closure_oracle(self, m, n, bubble):
@@ -251,7 +300,18 @@ class TestKernelAgainstOracle:
         assert family.relations is family.relations
         assert not bub.flags.writeable and not shuf.flags.writeable
 
+    @pytest.mark.parametrize("block", [1, 100, 1000])
+    def test_relation_matrices_do_not_depend_on_the_row_block(self, block, bubble, monkeypatch):
+        family = bubble(3, 3)
+        monkeypatch.setattr(bubble_module, "_ROW_BLOCK", block)
+        for whole, blocked in zip(family.relations, order_relations(family.words)):
+            assert np.array_equal(whole, blocked)
+
     @given(random_word_pair(max_m=12, max_n=12))
+    @example((w("x1.y2.x7.y7", 7, 7), w("y1.x7", 7, 7)))  # the widest uint8 masks
+    @example((w("x2.y1.x8", 8, 2), w("y2.x8", 8, 2)))  # the narrowest uint16 ones
+    @example((w("y8.x1", 2, 8), w("x2.y1.y8", 2, 8)))
+    @example((w("x1.y1.x8.y8", 8, 8), w("y1.y8.x8", 8, 8)))
     def test_relation_matrices_large_alphabets(self, pair):
         words = [*pair, join(*pair), meet(*pair)]
         bub, shuf = order_relations(words)

@@ -288,10 +288,10 @@ class TestCheck:
     def test_family_that_fails_to_build_fails_every_check(
         self, tmp_path, monkeypatch, capsys
     ):
-        def broken(u):
+        def broken(words):
             raise RuntimeError("no covers")
 
-        monkeypatch.setattr(bubble, "upper_covers", broken)
+        monkeypatch.setattr(bubble, "_cover_steps", broken)
         code, out, _ = run(
             ["check", "2", "1", "--suite", "order,crown"], tmp_path, monkeypatch, capsys
         )

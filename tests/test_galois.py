@@ -13,7 +13,7 @@ from bubblelattice.galois import (
     order_irreducibles,
 )
 from bubblelattice.hochschild import hochschild_lattice
-from bubblelattice.labeling import BubbleLabel, lambda_bubble
+from bubblelattice.labeling import BubbleLabel, edge_labels
 from bubblelattice.posets import FinitePoset
 
 from conftest import is_isomorphic
@@ -32,14 +32,8 @@ def boolean_poset(n):
 
 
 def label_map(family, ordering):
-    P = family.poset
-    return {
-        s + 1: lambda_bubble(
-            family.words[P.down_adj[ordering.jseq[s]][0]],
-            family.words[ordering.jseq[s]],
-        )
-        for s in range(ordering.k)
-    }
+    P, labels = family.poset, edge_labels(family)
+    return {s + 1: labels[(P.down_adj[j][0], j)] for s, j in enumerate(ordering.jseq)}
 
 
 class TestOrdering:

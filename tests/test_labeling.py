@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from bubblelattice.errors import NotACover
+from bubblelattice.cli import main
 from bubblelattice.labeling import (
     BubbleLabel,
     build_label_poset,
     check_cu_equals_jsd,
     edge_labels,
+    label_from_step,
     label_leq,
-    lambda_bubble,
     verify_cu_labeling,
 )
 from bubblelattice.posets import (
@@ -23,7 +23,7 @@ from bubblelattice.posets import (
 )
 from bubblelattice.words import parse_word
 
-from conftest import splits
+from conftest import lambda_bubble, replace_everywhere, splits
 
 X, Y, XY = BubbleLabel.xlab, BubbleLabel.ylab, BubbleLabel.pairlab
 
@@ -32,19 +32,30 @@ def w(text, m, n):
     return parse_word(text, m, n)
 
 
+def label(u, v, family):
+    """The family's label of the cover u -> v, which must equal the oracle's."""
+    labels = edge_labels(family)
+    found = labels[(family.index(u), family.index(v))]
+    assert found == lambda_bubble(u, v)
+    return found
+
+
 class TestLambdaBubble:
-    def test_insertion(self):
-        assert lambda_bubble(w("x1.x2", 2, 1), w("x1.x2.y1", 2, 1)) == Y(1)
+    def test_insertion(self, bubble):
+        assert label(w("x1.x2", 2, 1), w("x1.x2.y1", 2, 1), bubble(2, 1)) == Y(1)
 
-    def test_deletion(self):
-        assert lambda_bubble(w("x1.y1.x2", 2, 1), w("x1.y1", 2, 1)) == X(2)
+    def test_deletion(self, bubble):
+        assert label(w("x1.y1.x2", 2, 1), w("x1.y1", 2, 1), bubble(2, 1)) == X(2)
 
-    def test_transposition(self):
-        assert lambda_bubble(w("x1.x2.y1", 2, 1), w("x1.y1.x2", 2, 1)) == XY(2, 1)
+    def test_transposition(self, bubble):
+        assert label(w("x1.x2.y1", 2, 1), w("x1.y1.x2", 2, 1), bubble(2, 1)) == XY(2, 1)
 
-    def test_not_a_cover(self):
-        with pytest.raises(NotACover):
-            lambda_bubble(w("x1.x2.y1", 2, 1), w("x1.y1", 2, 1))
+    def test_not_a_cover(self, bubble):
+        u, v = w("x1.x2.y1", 2, 1), w("x1.y1", 2, 1)
+        family = bubble(2, 1)
+        assert (family.index(u), family.index(v)) not in edge_labels(family)
+        with pytest.raises(ValueError):
+            lambda_bubble(u, v)
 
     def test_presentation_order(self):
         assert sorted([XY(1, 1), Y(2), X(3), X(1)]) == [X(1), X(3), Y(2), XY(1, 1)]
@@ -234,3 +245,18 @@ class TestFiberEquivalence:
         assert check_cu_equals_jsd(P, labels)
         jsd = {e: lambda_jsd(P, e) for e in P.edges()}
         assert len(set(jsd.values())) == len(jsd)
+
+
+def test_one_check_run_labels_the_family_once(monkeypatch, capsys):
+    """The labeling and galois suites share one edge-label dict, built with
+    one ``label_from_step`` per distinct label: mn + m + n calls in all."""
+    calls = []
+
+    def counted(step):
+        calls.append(step)
+        return label_from_step(step)
+
+    replace_everywhere(monkeypatch, label_from_step, counted)
+    assert main(["check", "3", "2", "--suite", "labeling,galois"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3 * 2 + 3 + 2

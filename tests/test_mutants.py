@@ -16,7 +16,7 @@ from bubblelattice import bubble, checks, galois, hochschild, labeling, posets, 
 from bubblelattice.bubble import build_bubble_lattice
 from bubblelattice.cli import main
 
-from conftest import replace_everywhere
+from conftest import replace_everywhere, upper_covers
 
 
 def relation_without_rows(original):
@@ -32,8 +32,10 @@ def relation_without_rows(original):
 
 
 def covers_without_transpositions(original):
-    def mutant(u):
-        return [(c, step) for c, step in original(u) if step.kind != "transposition"]
+    def mutant(ws):
+        steps = original(ws)
+        kept = steps[2] != bubble.STEP_KINDS.index("transposition")
+        return tuple(a[kept] for a in steps)
 
     return mutant
 
@@ -150,7 +152,7 @@ MUTANTS = {
         },
     ),
     "covers_drop_transpositions": (
-        lambda: bubble.upper_covers,
+        lambda: bubble._cover_steps,
         covers_without_transpositions,
         {"order.covers_match_reduction", "lattice.hasse_regular", "lattice.unique_joins"},
     ),
@@ -332,11 +334,9 @@ def test_order_axioms_transitivity_witness(monkeypatch, capsys):
         # the cover relation with its diagonal: reflexive and antisymmetric,
         # not transitive once a chain has two covers
         _, shuffle = original(ws)
-        index = {u: i for i, u in enumerate(ws)}
+        src, dst, *_ = bubble._cover_steps(ws)
         rel = np.eye(len(ws), dtype=bool)
-        for u in ws:
-            for c, _ in bubble.upper_covers(u):
-                rel[index[u], index[c]] = True
+        rel[src, dst] = True
         return rel, shuffle
 
     replace_everywhere(monkeypatch, original, covers_only)
@@ -367,18 +367,20 @@ def test_order_axioms_passes_a_transitive_relation_off_the_closure(monkeypatch, 
     passes, while order.covers_match_reduction names the first pair where
     the closure and R differ."""
     ws = build_bubble_lattice(2, 2).words
-    original = bubble.upper_covers
-    lost = ws[0]
+    original = bubble._cover_steps
+    src, dst, *_ = original(ws)
+    dropped = int(np.flatnonzero(src == 0)[0])  # the first step out of ws[0]
+    lost = (ws[0], ws[dst[dropped]])
 
-    def drops_first_cover(u):
-        covers = original(u)
-        return covers[1:] if u == lost else covers
+    def drops_first_cover(words):
+        return tuple(np.delete(a, dropped) for a in original(words))
 
     def above(u):
         seen, todo = {u}, [u]
         while todo:
-            for c, _ in drops_first_cover(todo.pop()):
-                if c not in seen:
+            low = todo.pop()
+            for c, _ in upper_covers(low):
+                if (low, c) != lost and c not in seen:
                     seen.add(c)
                     todo.append(c)
         return seen
@@ -402,7 +404,7 @@ def test_covers_match_reduction_witness(monkeypatch, capsys):
         """The words reached from u by the covers other than transpositions."""
         seen, todo = {u}, [u]
         while todo:
-            for c, step in bubble.upper_covers(todo.pop()):
+            for c, step in upper_covers(todo.pop()):
                 if step.kind != "transposition" and c not in seen:
                     seen.add(c)
                     todo.append(c)
@@ -414,10 +416,29 @@ def test_covers_match_reduction_witness(monkeypatch, capsys):
     first = next(
         [str(u), str(v)] for u, up in zip(ws, ups) for v in ws if (v in up) != bubble.leq_bubble(u, v)
     )
-    original = bubble.upper_covers
+    original = bubble._cover_steps
     replace_everywhere(monkeypatch, original, covers_without_transpositions(original))
     detail = check_detail(["check", "2", "2", "--suite", "order"], "order.covers_match_reduction", capsys)
     assert detail["witness"] == first
+
+
+@pytest.mark.parametrize("block", [1, 70])
+def test_order_witnesses_do_not_depend_on_the_row_block(block, monkeypatch, capsys):
+    """Every order check fails, and names the same witness whether its
+    matrices are compared in one block or a row or two at a time."""
+    original = bubble.order_relations
+    supports_only = relation_without_rows(original)
+
+    def everything_shuffle_below(ws):
+        return supports_only(ws)[0], np.ones((len(ws), len(ws)), dtype=bool)
+
+    replace_everywhere(monkeypatch, original, everything_shuffle_below)
+    assert main(["check", "2", "2", "--suite", "order"]) == 1
+    whole = json.loads(capsys.readouterr().out)
+    assert len(whole["violations"]) == 4
+    monkeypatch.setattr(checks, "_ROW_BLOCK", block)
+    assert main(["check", "2", "2", "--suite", "order"]) == 1
+    assert json.loads(capsys.readouterr().out) == whole
 
 
 def test_duality_witness(monkeypatch, capsys):

@@ -37,6 +37,7 @@ from conftest import (
     is_isomorphic,
     mask_matrix,
     oracle_lattice_tables,
+    oracle_lambda_jsd,
     oracle_left_modular_test,
     oracle_polygonal_intervals,
     oracle_reduction,
@@ -259,6 +260,15 @@ class TestJsdLabeling:
         P = bubble(2, 1).poset
         for j in join_irreducibles(P):
             assert lambda_jsd(P, (P.down_adj[j][0], j)) == j
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_least_candidate_is_the_meet_reduce(self, m, n, bubble):
+        P = bubble(m, n).poset
+        assert [lambda_jsd(P, e) for e in P.edges()] == [oracle_lambda_jsd(P, e) for e in P.edges()]
+
+    def test_least_candidate_is_the_meet_reduce_on_n5(self):
+        P = n5()
+        assert [lambda_jsd(P, e) for e in P.edges()] == [oracle_lambda_jsd(P, e) for e in P.edges()]
 
     def test_m3_rejected(self):
         P = m3()
