@@ -10,7 +10,6 @@ which is a concept-lattice computation on the complemented relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ from .posets import (
     FinitePoset,
     is_extremal,
     join_irreducibles,
-    lattice_tables,
     maximum_length_chain,
     meet_irreducibles,
 )
@@ -50,11 +48,12 @@ def order_irreducibles(
 
     Step s of the chain admits exactly one join-irreducible that is newly
     below it, and dually for meet-irreducibles; the defining prefix-join and
-    suffix-meet identities are asserted before returning.
+    suffix-meet identities are asserted before returning, on up- and
+    down-sets: chain[s] = chain[0] v j_1 v ... v j_s iff their common upper
+    bounds are the up-set of chain[s].
     """
     if not is_extremal(P):
         raise NotExtremal("only extremal lattices admit this ordering")
-    join, meet = lattice_tables(P)
     if chain is None:
         chain = maximum_length_chain(P)
     chain = tuple(chain)
@@ -70,18 +69,17 @@ def order_irreducibles(
         if len(new_j) != 1:
             raise NotExtremal(f"chain step {s} pins down {len(new_j)} join-irreducibles")
         jseq.append(new_j[0])
-        new_m = [
-            m for m in mirr if P.leq(chain[s - 1], m) and not P.leq(chain[s], m)
-        ]
+        new_m = [m for m in mirr if P.leq(chain[s - 1], m) and not P.leq(chain[s], m)]
         if len(new_m) != 1:
             raise NotExtremal(f"chain step {s} pins down {len(new_m)} meet-irreducibles")
         mseq.append(new_m[0])
-    bottom = chain[0]
-    top = chain[-1]
+    suffixes = [P.down[chain[-1]]]  # the lower bounds of top, m_s+1, ..., m_k, s from k down
+    for m in reversed(mseq[1:]):
+        suffixes.append(suffixes[-1] & P.down[m])
+    prefix = P.up[chain[0]]
     for s in range(1, k + 1):
-        prefix = reduce(lambda a, b: int(join[a, b]), jseq[:s], bottom)
-        suffix = reduce(lambda a, b: int(meet[a, b]), mseq[s:], top)
-        if prefix != chain[s] or suffix != chain[s]:
+        prefix &= P.up[jseq[s - 1]]
+        if prefix != P.up[chain[s]] or suffixes[k - s] != P.down[chain[s]]:
             raise NotExtremal(f"ordering identities fail at step {s}")
     return IrreducibleOrdering(chain, tuple(jseq), tuple(mseq))
 
@@ -150,14 +148,14 @@ def galois_graph_sd(P: FinitePoset, ordering: IrreducibleOrdering) -> GaloisGrap
     In a semidistributive extremal lattice, j_s not below m_t is equivalent
     to j_t lying below (lower cover of j_t) joined with j_s.
     """
-    join, _ = lattice_tables(P)
-    k = ordering.k
+    k, up = ordering.k, P.up
     arcs = set()
     for t in range(k):
         jt = ordering.jseq[t]
         jt_star = P.down_adj[jt][0]
         for s in range(k):
-            if s != t and P.leq(jt, int(join[jt_star, ordering.jseq[s]])):
+            # j_t <= j_t* v j_s iff every common upper bound of j_t* and j_s is above j_t
+            if s != t and not (up[jt_star] & up[ordering.jseq[s]]) & ~up[jt]:
                 arcs.add((s + 1, t + 1))
     return GaloisGraph(tuple(range(1, k + 1)), frozenset(arcs))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -24,7 +24,7 @@ from .posets import (
     join_irreducibles,
     lambda_jsd,
     meet_irreducibles,
-    polygonal_intervals,
+    _polygon_arrays,
 )
 
 
@@ -186,30 +186,47 @@ def verify_cu_labeling(
     CU3: no chain of a polygon repeats a label.
     CU4/CU5: the edges into join-irreducibles (resp. out of
     meet-irreducibles) carry pairwise distinct labels.
+
+    CU1-CU3 run on codes: chain edges are found by one search on the keys
+    a * N + b of ``P.edges()``, each edge used has its label coded once, and
+    ``leq`` is called once per (bottom label, interior label) pair it needs.
     """
-    report = CUReport()
-    polygons = polygonal_intervals(P)
-    report.polygon_count = len(polygons)
+    bottoms, tops, flat, offsets = _polygon_arrays(P)
+    report = CUReport(polygon_count=len(bottoms))
+    edges, flat = P.edges(), flat.astype(np.intp)
+    first = offsets - np.arange(len(offsets))  # chain c holds the chain edges first[c] .. first[c + 1] - 1
+    chain = np.repeat(np.arange(len(offsets) - 1), np.diff(first))
+    keys = np.delete(flat[:-1] * P.n + flat[1:], offsets[1:-1] - 1)
+    used, where = np.unique(np.searchsorted([a * P.n + b for a, b in edges], keys), return_inverse=True)
+    codes: dict[object, int] = {}
+    lab = np.array([codes.setdefault(labels[edges[e]], len(codes)) for e in used.tolist()], dtype=np.intp)
+    lab, names, width = lab[where.ravel()], [str(value) for value in codes], max(len(codes), 1)
+    values = list(codes)
+    below = cache(lambda a, b: bool(leq(values[a], values[b])))  # one call per pair of codes
 
-    def strictly_less(a, b) -> bool:
-        return a != b and leq(a, b)
+    def strictly_less(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        out = lower != upper
+        out[out] = [below(a, b) for a, b in zip(lower[out].tolist(), upper[out].tolist())]
+        return out
 
-    for poly in polygons:
-        e1, e2 = poly.chain_edges()
-        lab1 = [labels[e] for e in e1]
-        lab2 = [labels[e] for e in e2]
-        where = {"bottom": poly.bottom, "top": poly.top}
-        if lab1[0] != lab2[-1] or lab2[0] != lab1[-1]:
-            report.cu1.append({**where, "labels": [str(l) for l in lab1 + lab2]})
-        for labs in (lab1, lab2):
-            for interior in labs[1:-1]:
-                if not (
-                    strictly_less(lab1[0], interior)
-                    and strictly_less(lab2[0], interior)
-                ):
-                    report.cu2.append({**where, "interior": str(interior)})
-            if len(set(labs)) != len(labs):
-                report.cu3.append({**where, "labels": [str(l) for l in labs]})
+    start, end = lab[first[:-1]], lab[first[1:] - 1]
+    cu1 = (start[0::2] != end[1::2]) | (start[1::2] != end[0::2])
+    inner = np.delete(np.arange(len(lab)), np.r_[first[:-1], first[1:] - 1])  # no chain's first or last edge
+    poly, interior = chain[inner] // 2, lab[inner]
+    above = strictly_less(start[2 * poly], interior)
+    above[above] = strictly_less(start[2 * poly + 1][above], interior[above])
+    ordered = np.sort(chain * width + lab)
+    cu3 = np.unique(ordered[1:][ordered[1:] == ordered[:-1]] // width)
+
+    def at(k: int, **detail) -> dict:
+        return {"bottom": int(bottoms[k]), "top": int(tops[k]), **detail}
+
+    def chain_names(lo: int, hi: int) -> list[str]:
+        return [names[code] for code in lab[lo:hi].tolist()]
+
+    report.cu1 = [at(k, labels=chain_names(first[2 * k], first[2 * k + 2])) for k in np.flatnonzero(cu1).tolist()]
+    report.cu2 = [at(k, interior=names[c]) for k, c in zip(poly[~above].tolist(), interior[~above].tolist())]
+    report.cu3 = [at(c // 2, labels=chain_names(first[c], first[c + 1])) for c in cu3.tolist()]
     seen: dict[object, int] = {}
     for j in join_irreducibles(P):
         lab = labels[(P.down_adj[j][0], j)]

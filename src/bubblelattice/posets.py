@@ -11,8 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -452,14 +451,7 @@ def left_modular_chain(P: FinitePoset) -> Optional[list[int]]:
     per-element left-modularity test.
     """
     k = P.length()
-    is_left_modular = _left_modular_test(P)
-    lm_cache: dict[int, bool] = {}
-
-    def lm(i: int) -> bool:
-        if i not in lm_cache:
-            lm_cache[i] = is_left_modular(i)
-        return lm_cache[i]
-
+    lm = cache(_left_modular_test(P))
     on_max = [
         i for i in range(P.n) if P.height_below[i] + P.depth_above[i] == k
     ]
@@ -554,49 +546,87 @@ def find_crown(P: FinitePoset) -> CrownWitness:
 # -- polygonal intervals ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polygon:
     bottom: int
     top: int
     chains: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def chain_edges(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-        c1, c2 = self.chains
-        return tuple(zip(c1, c1[1:])), tuple(zip(c2, c2[1:]))
+
+_POLYGON_BLOCK = 1 << 10  # candidate intervals per block of the polygon search
 
 
-def _cover_walk(P: FinitePoset, a: int, q: int, inside: int) -> list[int]:
-    """From a up to q, exclusive, along the first upper cover in ``inside``."""
-    walk = [a]
-    while walk[-1] != q:
-        walk.append(next(c for c in P.up_adj[walk[-1]] if inside >> c & 1))
-    return walk[:-1]
+def _cover_rows(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    """The cover lists as the rows of an int array, padded with -1."""
+    width = max(map(len, adj), default=0) or 1
+    return np.array([[*covers] + [-1] * (width - len(covers)) for covers in adj], dtype=np.intp).reshape(-1, width)
 
 
-def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
-    """Intervals that are unions of two chains meeting only at the ends.
+def _polygon_arrays(P: FinitePoset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bottoms, tops, and the chains (p, ..., q) of the polygonal intervals
+    in one flat array, chain c at ``flat[offsets[c]:offsets[c + 1]]``: chains
+    2k and 2k + 1 for polygon k, the one from the lesser cover of p first.
 
     The chains of a polygon [p, q] start at two upper covers a and b of p,
     and a v b is q (an interior a v b would be comparable to both chains),
-    so only those joins are tried: P must be a lattice, else NotALattice is
-    raised.  [p, q] is a polygon iff a and b are p's only upper covers in it
-    and the walks from a and b along the unique upper cover inside [p, q]
-    reach q, are disjoint and cover the interior: no x on one walk lies
-    below a y on the other, as y would lie above each later step of x's
-    walk, up to q.  A point on both walks would lie above a v b = q, and a
-    second upper cover inside [p, q] of a point on a walk would lie on
-    neither, so walks along the first such cover test all of this by their
-    lengths summing to the size of the interior.
+    so only those joins are tried, by p and then q: P must be a lattice,
+    else NotALattice is raised.  [p, q] is a polygon iff exactly two upper
+    covers of p lie in it, and the walks from them meet exactly one upper
+    cover inside it at every point before q.  Out-degree 2 at p and 1 on the
+    walks make the interior the two walks (a chain of covers from p starts
+    on one and cannot leave it), and the walks are disjoint, as a point on
+    both would lie above a v b = q; so q has in-degree 2 and needs no test.
+    Candidates go in blocks, each rung one numpy step of every live walk,
+    and leave the walk when they fail.
     """
     join, _ = _tables(P)
+    up = _cover_rows(P.up_adj)
+
+    def inside(rows, bound):  # the covers c <= bound
+        return (rows >= 0) & (join.take(rows * P.n + bound) == bound)
+
+    keys = [np.zeros(0, dtype=np.intp)]
+    for first, second in zip(*np.triu_indices(up.shape[1], 1)):
+        p = np.flatnonzero(up[:, second] >= 0)  # the rows are packed: cover `first` exists too
+        keys.append(p * P.n + join[up[p, first], up[p, second]])
+    keys = np.sort(np.concatenate(keys))  # deduplicated by hand: np.unique's hash set outlives it in RSS
+    keys, parts = keys[np.diff(keys, prepend=-1) != 0], []
+    for lo in range(0, len(keys), _POLYGON_BLOCK):
+        p, q = np.divmod(keys[lo : lo + _POLYGON_BLOCK], P.n)
+        starts = inside(up[p], q[:, None])
+        ok = starts.sum(axis=1) == 2
+        live, x = np.flatnonzero(ok), up[p][starts & ok[:, None]].reshape(-1, 2)
+        ends, rungs = np.repeat(q[:, None], 2, axis=1), [np.repeat(p[:, None], 2, axis=1)]
+        while len(live):
+            rungs.append(ends.copy())
+            rungs[-1][live] = x
+            top = q[live][:, None]
+            covers, moving = up[x], x != top
+            step = inside(covers, top[..., None])
+            good = ((step.sum(axis=2) == 1) | ~moving).all(axis=1)
+            ok[live[~good]] = False
+            x = np.where(moving, np.take_along_axis(covers, step.argmax(axis=2)[..., None], axis=2)[..., 0], x)
+            keep = good & (x != top).any(axis=1)
+            live, x = live[keep], x[keep]
+        chains = np.stack(rungs + [ends], axis=2)[ok]
+        kept = np.ones(chains.shape, dtype=bool)  # a chain ends at its first q
+        kept[..., 1:] = chains[..., :-1] != chains[..., -1:]
+        parts.append((p[ok], q[ok], chains[kept].astype(TABLE_DTYPE), kept.sum(axis=2).ravel()))
+    bottoms, tops, flat, lengths = (np.concatenate(part) for part in zip(*parts or [[keys] * 4]))  # or 4 empty
+    return bottoms, tops, flat, np.concatenate(([0], np.cumsum(lengths)))
+
+
+def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
+    """Intervals that are unions of two chains meeting only at the ends, gathered a block
+    at a time from ``_polygon_arrays`` through one object array of the N ids, whose ints they share."""
+    _, _, flat, offsets = _polygon_arrays(P)
+    ids = np.array(range(P.n), dtype=object)
     out: list[Polygon] = []
-    for p in range(P.n):
-        for q in sorted({int(join[a, b]) for a, b in combinations(P.up_adj[p], 2)}):
-            inner = (P.up[p] & P.down[q]) & ~((1 << p) | (1 << q))
-            starts = [a for a in P.up_adj[p] if (inner >> a) & 1]
-            walks = [_cover_walk(P, a, q, inner | 1 << q) for a in starts]
-            if len(walks) == 2 and len(walks[0]) + len(walks[1]) == inner.bit_count():
-                out.append(Polygon(p, q, ((p, *walks[0], q), (p, *walks[1], q))))
+    for lo in range(0, len(offsets) - 1, 2 * _POLYGON_BLOCK):
+        cut = offsets[lo : lo + 2 * _POLYGON_BLOCK + 1]
+        items, bounds = ids[flat[cut[0] : cut[-1]]].tolist(), (cut - cut[0]).tolist()
+        chains = [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
+        out.extend(Polygon(c1[0], c1[-1], (c1, c2)) for c1, c2 in zip(chains[0::2], chains[1::2]))
     return out
 
 

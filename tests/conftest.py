@@ -10,7 +10,7 @@ the public ``restriction``, ``y_fill``, ``word_from_profile`` and
 ``oracle_lattice_tables`` and ``oracle_polygonal_intervals`` are the
 pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
 ``_comparability_components``) that the cover recursion and the polygon
-search by single-cover walks in ``posets`` replaced.
+search by cover walks in ``posets`` replaced.
 ``semidistributive_half`` is the triple scan over the join and meet tables
 that the kappa route to semidistributivity replaced, and
 ``oracle_left_modular_test`` the full-matrix left-modularity test that the
@@ -24,7 +24,11 @@ move closure by iterated squaring, which the one topological pass replaced.
 a cover letter by letter, the oracle for the covers and labels that
 ``bubble._cover_steps`` reads off the code; ``oracle_lambda_jsd`` is the
 meet of the candidates by a reduce over the meet table, which the least
-candidate in ``posets.lambda_jsd`` replaced.
+candidate in ``posets.lambda_jsd`` replaced.  ``oracle_verify_cu_labeling``
+is the polygon-by-polygon CU loop on label objects that CU on codes
+replaced, and ``oracle_order_irreducibles`` and ``oracle_galois_graph_sd``
+test the ordering identities and the Galois arcs on the join and meet
+tables, where ``galois`` now reads the up- and down-sets alone.
 """
 
 from __future__ import annotations
@@ -39,9 +43,20 @@ import pytest
 from hypothesis import strategies as st
 
 from bubblelattice.bubble import CoverStep, LatticeFamily, build_bubble_lattice, build_shuffle_poset
-from bubblelattice.errors import NotALattice, NotJoinSemidistributive
-from bubblelattice.labeling import BubbleLabel, label_from_step
-from bubblelattice.posets import FinitePoset, Polygon, _bits, lattice_tables
+from bubblelattice.errors import NotALattice, NotExtremal, NotJoinSemidistributive
+from bubblelattice.galois import GaloisGraph, IrreducibleOrdering
+from bubblelattice.labeling import BubbleLabel, CUReport, label_from_step
+from bubblelattice.posets import (
+    FinitePoset,
+    Polygon,
+    _bits,
+    is_extremal,
+    join_irreducibles,
+    lattice_tables,
+    maximum_length_chain,
+    meet_irreducibles,
+    polygonal_intervals,
+)
 from bubblelattice.words import (
     Letter,
     ShuffleWord,
@@ -382,6 +397,90 @@ def oracle_polygonal_intervals(P: FinitePoset) -> list[Polygon]:
     return out
 
 
+def chain_edges(poly: Polygon) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The covers along each of the polygon's two chains."""
+    return tuple(tuple(zip(chain, chain[1:])) for chain in poly.chains)
+
+
+def oracle_verify_cu_labeling(P: FinitePoset, labels, leq) -> CUReport:
+    """CU1-CU5 polygon by polygon, on the label objects themselves."""
+    report = CUReport()
+    polygons = polygonal_intervals(P)
+    report.polygon_count = len(polygons)
+
+    def strictly_less(a, b) -> bool:
+        return a != b and leq(a, b)
+
+    for poly in polygons:
+        e1, e2 = chain_edges(poly)
+        lab1 = [labels[e] for e in e1]
+        lab2 = [labels[e] for e in e2]
+        where = {"bottom": poly.bottom, "top": poly.top}
+        if lab1[0] != lab2[-1] or lab2[0] != lab1[-1]:
+            report.cu1.append({**where, "labels": [str(l) for l in lab1 + lab2]})
+        for labs in (lab1, lab2):
+            for interior in labs[1:-1]:
+                if not (strictly_less(lab1[0], interior) and strictly_less(lab2[0], interior)):
+                    report.cu2.append({**where, "interior": str(interior)})
+            if len(set(labs)) != len(labs):
+                report.cu3.append({**where, "labels": [str(l) for l in labs]})
+    seen: dict = {}
+    for j in join_irreducibles(P):
+        lab = labels[(P.down_adj[j][0], j)]
+        if lab in seen:
+            report.cu4.append({"irreducibles": [seen[lab], j], "label": str(lab)})
+        seen[lab] = j
+    seen = {}
+    for mm in meet_irreducibles(P):
+        lab = labels[(mm, P.up_adj[mm][0])]
+        if lab in seen:
+            report.cu5.append({"irreducibles": [seen[lab], mm], "label": str(lab)})
+        seen[lab] = mm
+    return report
+
+
+def oracle_order_irreducibles(P: FinitePoset, chain=None) -> IrreducibleOrdering:
+    """The irreducibles ordered along a maximum-length chain, with the
+    prefix-join and suffix-meet identities tested by reduces over the join
+    and meet tables."""
+    if not is_extremal(P):
+        raise NotExtremal("only extremal lattices admit this ordering")
+    join, meet = lattice_tables(P)
+    chain = tuple(maximum_length_chain(P) if chain is None else chain)
+    k = P.length()
+    if len(chain) != k + 1:
+        raise NotExtremal(f"chain has length {len(chain) - 1}, expected {k}")
+    jseq: list[int] = []
+    mseq: list[int] = []
+    for s in range(1, k + 1):
+        new_j = [j for j in join_irreducibles(P) if P.leq(j, chain[s]) and not P.leq(j, chain[s - 1])]
+        if len(new_j) != 1:
+            raise NotExtremal(f"chain step {s} pins down {len(new_j)} join-irreducibles")
+        jseq.append(new_j[0])
+        new_m = [m for m in meet_irreducibles(P) if P.leq(chain[s - 1], m) and not P.leq(chain[s], m)]
+        if len(new_m) != 1:
+            raise NotExtremal(f"chain step {s} pins down {len(new_m)} meet-irreducibles")
+        mseq.append(new_m[0])
+    for s in range(1, k + 1):
+        prefix = reduce(lambda a, b: int(join[a, b]), jseq[:s], chain[0])
+        suffix = reduce(lambda a, b: int(meet[a, b]), mseq[s:], chain[-1])
+        if prefix != chain[s] or suffix != chain[s]:
+            raise NotExtremal(f"ordering identities fail at step {s}")
+    return IrreducibleOrdering(chain, tuple(jseq), tuple(mseq))
+
+
+def oracle_galois_graph_sd(P: FinitePoset, ordering: IrreducibleOrdering) -> GaloisGraph:
+    """Arcs s -> t where j_t lies below j_t* v j_s, read from the join table."""
+    join, _ = lattice_tables(P)
+    k = ordering.k
+    arcs = set()
+    for t, jt in enumerate(ordering.jseq):
+        for s, js in enumerate(ordering.jseq):
+            if s != t and P.leq(jt, int(join[P.down_adj[jt][0], js])):
+                arcs.add((s + 1, t + 1))
+    return GaloisGraph(tuple(range(1, k + 1)), frozenset(arcs))
+
+
 def _refine_colors(P: FinitePoset) -> tuple[int, ...]:
     colors = [
         (P.height_below[i], P.depth_above[i], len(P.up_adj[i]), len(P.down_adj[i]))
@@ -551,3 +650,16 @@ def random_triple(draw, max_m: int = 3, max_n: int = 3):
     m = draw(st.integers(0, max_m))
     n = draw(st.integers(0, max_n))
     return tuple(draw(random_word_in(m, n)) for _ in range(3))
+
+
+@st.composite
+def closure_lattices(draw):
+    """An intersection-closed family of random subsets of a ground set of
+    at most 5 points, with the full set, ordered by inclusion: a lattice,
+    often not semidistributive."""
+    full = (1 << draw(st.integers(1, 5))) - 1
+    family = {full}
+    for s in draw(st.lists(st.integers(0, full), max_size=10)):
+        family |= {s & t for t in family}
+    sets = sorted(family)
+    return FinitePoset.from_matrix(np.array([[s & t == s for t in sets] for s in sets]))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bubblelattice import bubble, posets, words
+from bubblelattice import bubble, checks, posets, words
 from bubblelattice.cli import build_check_report, main
 from bubblelattice.exports import element_table_csv, sigma_table_csv
 from bubblelattice.bubble import build_bubble_lattice
@@ -284,6 +284,16 @@ class TestCheck:
             },
             {"id": "duality.anti_isomorphism", "status": "pass", "detail": {}},
         ]
+
+    def test_run_suite_calls_the_check_on_the_module(self, monkeypatch):
+        # a check set on the module after import, as a tracer's wrapper is, is the one run
+        stub = checks.CheckResult("lattice.hasse_regular", "fail", {"stub": True})
+        family = build_bubble_lattice(2, 1)
+        assert checks.run_suite("lattice", family)[1].status == "pass"
+        monkeypatch.setattr(checks, "check_hasse_regular", lambda family: stub)
+        results = checks.run_suite("lattice", family)
+        assert results[1] is stub
+        assert [r.id for r in results] == [check_id for check_id, _ in checks.SUITES["lattice"]]
 
     def test_family_that_fails_to_build_fails_every_check(
         self, tmp_path, monkeypatch, capsys

@@ -1,6 +1,7 @@
 """Irreducible orderings, Galois graphs, and orthogonal-pair reconstruction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubblelattice.bubble import extremal_chain_words
 from bubblelattice.errors import NotExtremal
@@ -16,9 +17,7 @@ from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.labeling import BubbleLabel, edge_labels
 from bubblelattice.posets import FinitePoset
 
-from conftest import is_isomorphic
-
-from conftest import splits
+from conftest import is_isomorphic, oracle_galois_graph_sd, oracle_order_irreducibles, splits
 
 X, Y, XY = BubbleLabel.xlab, BubbleLabel.ylab, BubbleLabel.pairlab
 
@@ -69,6 +68,41 @@ class TestOrdering:
         P = FinitePoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         with pytest.raises(NotExtremal):
             order_irreducibles(P)
+
+
+def outcome(f, *args, **kwargs):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except NotExtremal as exc:
+        return type(exc), str(exc)
+
+
+class TestUpSetsAgainstTables:
+    """The ordering identities and the Galois arcs on up- and down-sets
+    against the table-based versions they replaced."""
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_bubble_families(self, m, n, bubble):
+        family = bubble(m, n)
+        P = family.poset
+        seed = [family.index(u) for u in extremal_chain_words(m, n)]
+        for chain in (None, seed, seed[::-1]):
+            assert outcome(order_irreducibles, P, chain) == outcome(oracle_order_irreducibles, P, chain)
+        for ordering in (order_irreducibles(P), order_irreducibles(P, seed)):
+            assert galois_graph_sd(P, ordering) == oracle_galois_graph_sd(P, ordering)
+
+    @settings(max_examples=40)
+    @given(mn=st.sampled_from([(2, 1), (2, 2), (3, 1), (1, 3)]), data=st.data())
+    def test_random_maximum_chains(self, mn, data, bubble):
+        # any maximum-length chain, not only the two the checks use
+        P = bubble(*mn).poset
+        k = P.length()
+        chain = [next(i for i in range(P.n) if P.height_below[i] == 0)]
+        while P.height_below[chain[-1]] < k:
+            steps = [j for j in P.up_adj[chain[-1]] if P.height_below[j] + P.depth_above[j] == k]
+            chain.append(data.draw(st.sampled_from(steps)))
+        assert outcome(order_irreducibles, P, chain) == outcome(oracle_order_irreducibles, P, chain)
 
 
 class TestGaloisGraphs:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bubblelattice.cli import main
 from bubblelattice.labeling import (
@@ -23,7 +24,14 @@ from bubblelattice.posets import (
 )
 from bubblelattice.words import parse_word
 
-from conftest import lambda_bubble, replace_everywhere, splits
+from conftest import (
+    chain_edges,
+    closure_lattices,
+    lambda_bubble,
+    oracle_verify_cu_labeling,
+    replace_everywhere,
+    splits,
+)
 
 X, Y, XY = BubbleLabel.xlab, BubbleLabel.ylab, BubbleLabel.pairlab
 
@@ -185,6 +193,62 @@ class TestCUConditions:
         assert set(j_by_label) == set(m_by_label) == set(labels.values())
 
 
+# bottom 0; short side 1; long side 2 < 3; top 4
+N5 = FinitePoset(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
+# [0, 5] is no polygon: the walk 1 -> 3 -> 5 misses 4, the other upper cover of 1
+NOT_A_POLYGON = FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+
+
+@st.composite
+def labeled_lattices(draw):
+    """A closure lattice, each edge labeled by one of a few ints, and a
+    random set per value: a below b iff a's set is a proper subset of b's,
+    a random partial order on the values."""
+    P = draw(closure_lattices())
+    values = draw(st.integers(1, 4))
+    labels = {e: draw(st.integers(0, values - 1)) for e in P.edges()}
+    return P, labels, tuple(draw(st.integers(0, 7)) for _ in range(values))
+
+
+def subset_order(sets):
+    return lambda a, b: a == b or (sets[a] & ~sets[b] == 0 and sets[a] != sets[b])
+
+
+class TestCUOnCodes:
+    """CU1-CU3 on codes against the polygon-by-polygon loop they replaced."""
+
+    @given(labeled_lattices())
+    # one label everywhere: CU2-CU5 fire; a label per edge and no order: CU1 and CU2
+    @example((N5, dict.fromkeys(N5.edges(), 0), (0,)))
+    @example((N5, {e: i for i, e in enumerate(N5.edges())}, (0,) * 5))
+    @example((NOT_A_POLYGON, {e: i % 3 for i, e in enumerate(NOT_A_POLYGON.edges())}, (1, 3, 1)))
+    # the interior label 3 lies above the short side's bottom label 0 but not
+    # above the long side's, 2: CU2 tests both
+    @example((N5, {(0, 1): 0, (1, 4): 1, (0, 2): 2, (2, 3): 3, (3, 4): 4}, (1, 0, 4, 3, 0)))
+    def test_report_matches_the_oracle(self, case):
+        P, labels, sets = case
+        leq = subset_order(sets)
+        assert verify_cu_labeling(P, labels, leq).as_dict() == oracle_verify_cu_labeling(P, labels, leq).as_dict()
+
+    def test_examples_fire_every_condition(self):
+        constant = verify_cu_labeling(N5, dict.fromkeys(N5.edges(), 0), subset_order((0,)))
+        distinct = verify_cu_labeling(N5, {e: i for i, e in enumerate(N5.edges())}, subset_order((0,) * 5))
+        fired = {k for r in (constant, distinct) for k, v in r.as_dict()["violations"].items() if v}
+        assert fired == {"CU1", "CU2", "CU3", "CU4", "CU5"}
+
+    def test_leq_called_once_per_distinct_pair(self, bubble):
+        family = bubble(3, 2)
+        S = build_label_poset(3, 2)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return S.leq(a, b)
+
+        assert verify_cu_labeling(family.poset, edge_labels(family), counted).ok
+        assert calls and len(calls) == len(set(calls))
+
+
 class TestPolygonLabelPatterns:
     @pytest.mark.parametrize("m,n", [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
     def test_patterns(self, m, n, bubble):
@@ -197,7 +261,7 @@ class TestPolygonLabelPatterns:
         labels = edge_labels(family)
         seen_shapes = set()
         for poly in polygonal_intervals(family.poset):
-            e1, e2 = poly.chain_edges()
+            e1, e2 = chain_edges(poly)
             lab1 = [labels[e] for e in e1]
             lab2 = [labels[e] for e in e2]
             if len(lab1) > len(lab2):

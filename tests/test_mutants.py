@@ -16,7 +16,7 @@ from bubblelattice import bubble, checks, galois, hochschild, labeling, posets, 
 from bubblelattice.bubble import build_bubble_lattice
 from bubblelattice.cli import main
 
-from conftest import replace_everywhere, upper_covers
+from conftest import oracle_verify_cu_labeling, replace_everywhere, upper_covers
 
 
 def relation_without_rows(original):
@@ -471,6 +471,35 @@ def test_duality_witness_names_two_words_with_one_image(monkeypatch, capsys):
     # v is the first word whose image an earlier word already has
     images = [drops_last_letter(x) for x in ws]
     assert ws.index(v) == min(i for i in range(len(ws)) if images[i] in images[:i])
+
+
+def test_cu_witness_is_the_first_violation(monkeypatch, capsys):
+    family = build_bubble_lattice(2, 2)
+    P = family.poset
+    mutant = pair_label_reversed(labeling.label_from_step)
+    replace_everywhere(monkeypatch, labeling.label_from_step, mutant)
+    detail = check_detail(["check", "2", "2", "--suite", "labeling"], "labeling.cu_conditions", capsys)
+    # the mutated labels, each edge's step read back from the oracle's covers
+    labels = {(a, b): mutant(next(s for v, s in upper_covers(family.words[a]) if v == family.words[b])) for a, b in P.edges()}
+    S = labeling.build_label_poset(2, 2)
+    violations = oracle_verify_cu_labeling(P, labels, S.leq).as_dict()["violations"]
+    condition, found = next((c, v[0]) for c, v in violations.items() if v)
+    assert detail == {
+        "polygons": 45,
+        "witness": [condition, str(family.words[found["bottom"]]), str(family.words[found["top"]])],
+    }
+
+
+def test_cu_witness_names_the_first_unused_label(monkeypatch, capsys):
+    original = labeling.build_label_poset
+
+    def one_label_more(m, n):
+        S = original(m, n)
+        return labeling.LabelPoset(m, n, S.labels + (labeling.BubbleLabel.xlab(m + 1),), S.poset)
+
+    replace_everywhere(monkeypatch, original, one_label_more)
+    detail = check_detail(["check", "2", "2", "--suite", "labeling"], "labeling.cu_conditions", capsys)
+    assert detail == {"polygons": 45, "witness": ["unused", "x3"]}
 
 
 def test_crown_witness(monkeypatch, capsys):

@@ -34,6 +34,7 @@ from bubblelattice.posets import (
 )
 
 from conftest import (
+    closure_lattices,
     is_isomorphic,
     mask_matrix,
     oracle_lattice_tables,
@@ -155,19 +156,6 @@ def one_sided():
     return FinitePoset(
         7, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]
     )
-
-
-@st.composite
-def closure_lattices(draw):
-    """An intersection-closed family of random subsets of a ground set of
-    at most 5 points, with the full set, ordered by inclusion: a lattice,
-    often not semidistributive."""
-    full = (1 << draw(st.integers(1, 5))) - 1
-    family = {full}
-    for s in draw(st.lists(st.integers(0, full), max_size=10)):
-        family |= {s & t for t in family}
-    sets = sorted(family)
-    return FinitePoset.from_matrix(np.array([[s & t == s for t in sets] for s in sets]))
 
 
 def assert_kappa_halves_match_triple_scan(P):
@@ -715,12 +703,22 @@ class TestCoverRecursionAgainstOracles:
     # [0, 5] is no polygon: the walk 1 -> 3 -> 5 misses 4, the other upper
     # cover of 1 inside it
     @example(FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]))
+    # nor is [0, 7], though 7 has two lower covers in it: 1 has two upper
+    # covers in it, 3 and 4, which meet again at 5
+    @example(FinitePoset(8, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (4, 5), (5, 7), (2, 6), (6, 7)]))
     def test_random_lattices(self, P):
         assert_matches_oracles(P)
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_bubble_families(self, m, n, bubble):
         assert_matches_oracles(bubble(m, n).poset)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_polygon_blocks(self, block, bubble):
+        # blocks of candidates, and of polygons when the chain tuples are built
+        P = bubble(3, 2).poset
+        with mock.patch.object(posets, "_POLYGON_BLOCK", block):
+            assert polygonal_intervals(P) == oracle_polygonal_intervals(P)
 
     @pytest.mark.parametrize("m,n", splits(4))
     def test_shuffle_posets(self, m, n, shuffle):
@@ -763,6 +761,23 @@ class TestCoverRecursionAgainstOracles:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * fresh.n**2 * 2 + 2 * 2**20
+
+    def test_polygon_search_keeps_only_its_polygons(self, bubble):
+        # the polygons share the ints of one object array and are built a
+        # block at a time; the walk-based search held 3.55 MiB and peaked at
+        # 3.56 MiB at (4,4).  No N x N array: leq_matrix stays unbuilt
+        P = bubble(4, 4).poset
+        fresh = FinitePoset(P.n, P.edges())
+        lattice_tables(fresh)
+        tracemalloc.start()
+        try:
+            polygons = polygonal_intervals(fresh)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(polygons) == 12_854
+        assert kept <= 3.55 * 2**20 and peak <= 4.1 * 2**20
+        assert "leq_matrix" not in fresh.__dict__
 
     def test_tables_are_uint16(self, bubble):
         join, meet = lattice_tables(bubble(2, 2).poset)
