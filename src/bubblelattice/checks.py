@@ -181,9 +181,12 @@ def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
 
 
 def check_unique_joins(family: LatticeFamily) -> CheckResult:
-    """The certified join and meet tables (NotALattice on two minimal upper
-    bounds) equal the filling formula, compared block by block on the pairs
-    a <= b; the first failing pair in row-major order is the witness."""
+    """The lattice tables equal the filling formula, compared block by block
+    on the pairs a <= b; the first failing pair in row-major order is the
+    witness.  Only the join walk carries a certificate (NotALattice on two
+    minimal upper bounds): a finite join-semilattice with a bottom is a
+    lattice, so the meet table needs none of its own, and the formula is
+    compared with both tables entry by entry."""
     join_table, meet_table = posets.lattice_tables(family.poset)
     words = family.words
     detail = {"failing_pairs": 0}
@@ -259,12 +262,19 @@ def check_yfill_closure(family: LatticeFamily) -> CheckResult:
     and u's own laws fail, or u <= v and y_fill(u) is not below y_fill(v)."""
     rel = family.relations[0]
     fill = np.array([family.index(y_fill(u)) for u in family.words], dtype=np.intp)
-    full = np.array([len(u.ysupport) == family.n for u in family.words], dtype=bool)
+    full = np.array([u.code[1].bit_count() == family.n for u in family.words], dtype=bool)
     own = np.arange(len(fill))
     broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)
-    bad = rel & ~rel[np.ix_(fill, fill)]  # monotone
-    bad[own[broken], fill[broken]] = True  # idempotent, extensive, closed on full words
-    return _result("lattice.yfill_closure", not bad.any(), _witness(family.words, bad))
+
+    def bad(rows):
+        block = rel[np.ix_(fill[rows], fill)]
+        np.greater(rel[rows], block, out=block)  # monotone: u <= v, y_fill(u) not <= y_fill(v)
+        hit = broken[rows]
+        block[np.flatnonzero(hit), fill[rows][hit]] = True  # idempotent, extensive, closed on full words
+        return block
+
+    detail = _first_witness(family.words, bad)
+    return _result("lattice.yfill_closure", not detail, detail)
 
 
 def check_cu_labeling(family: LatticeFamily) -> CheckResult:

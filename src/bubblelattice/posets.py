@@ -3,7 +3,10 @@
 Elements are 0..n-1.  Reachability is cached as one big-int bitmask per
 element, so order tests are single AND/shift operations; the triple-
 quantified lattice checks (distributivity, left modularity) run over numpy
-join/meet tables instead, and semidistributivity is read off kappa.
+join/meet tables instead, and semidistributivity is read off kappa.  The
+tables come from one recursion over covers; only the join walk carries a
+certificate, which makes it the one proof that P is a lattice, since a
+finite join-semilattice with a least element is one.
 """
 
 from __future__ import annotations
@@ -264,7 +267,9 @@ _ID_BLOCK = 1 << 16
 _LM_BLOCK = 1 << 20
 
 
-def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, least: str) -> np.ndarray:
+def _bound_table(
+    topo: Sequence[int], covers, down: Sequence[int], bound: str, least: str, certify: bool = True
+) -> np.ndarray:
     """The join table, each row built from the rows of the upper covers.
 
     Rows are filled in reverse ``topo`` order.  Off the down-set of i, the
@@ -275,6 +280,12 @@ def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, l
     plain min over the cover rows; the finished table is turned into
     element ids in place.  Given the reversed order, lower covers and
     up-sets, the same walk builds the meet table.
+
+    With ``certify`` false the certificate is skipped, and the walk raises
+    only at an element without covers whose down-set (up-set, for the meet)
+    is not everything.  That is exact for the meet walk once the join walk
+    is certified, by the lemma that a finite join-semilattice with a least
+    element is a lattice; ``_tables`` gives the proof.
     """
     n = len(topo)
     if n > TABLE_LIMIT:
@@ -284,21 +295,22 @@ def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, l
     table = np.empty((n, n), dtype=TABLE_DTYPE)
     for k in range(n - 1, -1, -1):
         i = topo[k]
+        row = table[i]
         below = np.unpackbits(packed[i], count=n, bitorder="little").view(bool)
         if not covers[i]:
             if not below.all():
                 raise NotALattice(f"elements {i} and {int(np.argmin(below))} have no {bound} bound")
-            table[i] = k
+            row[...] = k
             continue
         rows = table.take(covers[i], axis=0)
-        best = rows.min(axis=0)
-        failed = ~((rows.take(order.take(best), axis=1) == rows).all(axis=0) | below)
-        if failed.any():
-            raise NotALattice(
-                f"elements {i} and {int(np.argmax(failed))} have two {least} {bound} bounds"
-            )
-        best[below] = k
-        table[i] = best
+        np.minimum.reduce(rows, axis=0, out=row)
+        if certify:
+            failed = ~((rows.take(order.take(row), axis=1) == rows).all(axis=0) | below)
+            if failed.any():
+                raise NotALattice(
+                    f"elements {i} and {int(np.argmax(failed))} have two {least} {bound} bounds"
+                )
+        np.copyto(row, k, where=below)
     step = max(1, _ID_BLOCK // max(n, 1))
     for start in range(0, n, step):
         block = table[start : start + step]
@@ -307,11 +319,26 @@ def _bound_table(topo: Sequence[int], covers, down: Sequence[int], bound: str, l
 
 
 def _tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """The certified join table, then the meet table by the same walk
+    without the certificate.
+
+    A finite join-semilattice with a least element is a lattice, and the
+    uncertified meet walk is exact on it.  Once the join walk returns, P has
+    a top and every pair has a join.  The meet walk starts at ``topo[0]``, a
+    minimal element: unless it is the bottom, its up-set misses another
+    minimal element, and "no lower bound" is raised as the certified walk
+    would.  With a bottom, the common lower bounds of i and j have a join,
+    which is i ^ j.  For j not above i, i ^ j < i lies below some lower
+    cover c of i, so i ^ j = c ^ j, and every other candidate c' ^ j lies
+    below both i and j, hence below i ^ j.  So i ^ j is the candidate of
+    least reversed position, the one the min picks, and the meet
+    certificate could never fail.
+    """
     cached = P.__dict__.get("_lattice_tables")
     if cached is not None:
         return cached
     join = _bound_table(P.topo, P.up_adj, P.down, "upper", "minimal")
-    meet = _bound_table(P.topo[::-1], P.down_adj, P.up, "lower", "maximal")
+    meet = _bound_table(P.topo[::-1], P.down_adj, P.up, "lower", "maximal", certify=False)
     join.flags.writeable = False
     meet.flags.writeable = False
     P.__dict__["_lattice_tables"] = (join, meet)

@@ -205,9 +205,9 @@ def y_fill(u: ShuffleWord) -> ShuffleWord:
     immediately left of the smallest present y_k with k > j, or appended at
     the end when no such letter exists.
     """
-    seq = u.letters
+    seq, ymask = u.letters, u.code[1]
     for j in range(u.n, 0, -1):
-        if j not in u.ysupport:
+        if not ymask >> j & 1:
             seq = _insert_y(seq, j)
     return ShuffleWord(seq, u.m, u.n)
 

@@ -10,7 +10,9 @@ the public ``restriction``, ``y_fill``, ``word_from_profile`` and
 ``oracle_lattice_tables`` and ``oracle_polygonal_intervals`` are the
 pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
 ``_comparability_components``) that the cover recursion and the polygon
-search by cover walks in ``posets`` replaced.
+search by cover walks in ``posets`` replaced; ``oracle_certified_tables``
+is the cover recursion with the certificate on the meet walk too, which
+``posets._tables`` dropped as redundant once the join walk is certified.
 ``semidistributive_half`` is the triple scan over the join and meet tables
 that the kappa route to semidistributivity replaced, and
 ``oracle_left_modular_test`` the full-matrix left-modularity test that the
@@ -28,7 +30,7 @@ candidate in ``posets.lambda_jsd`` replaced.  ``oracle_verify_cu_labeling``
 is the polygon-by-polygon CU loop on label objects that CU on codes
 replaced, and ``oracle_order_irreducibles`` and ``oracle_galois_graph_sd``
 test the ordering identities and the Galois arcs on the join and meet
-tables, where ``galois`` now reads the up- and down-sets alone.
+tables, where ``galois`` now tests covers and reads the up-sets alone.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from bubblelattice.errors import NotALattice, NotExtremal, NotJoinSemidistributi
 from bubblelattice.galois import GaloisGraph, IrreducibleOrdering
 from bubblelattice.labeling import BubbleLabel, CUReport, label_from_step
 from bubblelattice.posets import (
+    TABLE_DTYPE,
     FinitePoset,
     Polygon,
     _bits,
@@ -312,6 +315,39 @@ def oracle_lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
                 raise NotALattice(f"elements {i} and {j} have two maximal lower bounds")
             meet[i, j] = meet[j, i] = w
     return join, meet
+
+
+def oracle_certified_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """Join and meet tables by the cover recursion with the certificate on
+    both walks: the meet walk that ``posets._tables`` now runs uncertified."""
+    join = _certified_bound_table(P.topo, P.up_adj, P.down, "upper", "minimal")
+    meet = _certified_bound_table(P.topo[::-1], P.down_adj, P.up, "lower", "maximal")
+    return join, meet
+
+
+def _certified_bound_table(topo, covers, down, bound: str, least: str) -> np.ndarray:
+    """One table of ``oracle_certified_tables``: each row is the least
+    candidate among the cover rows, in topological positions, certified
+    below every other candidate (c v w = c v j for each cover c)."""
+    n = len(topo)
+    order = np.array(topo, dtype=TABLE_DTYPE)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
+    for k in range(n - 1, -1, -1):
+        i = topo[k]
+        below = np.array([bool(down[i] >> j & 1) for j in range(n)], dtype=bool)
+        if not covers[i]:
+            if not below.all():
+                raise NotALattice(f"elements {i} and {int(np.argmin(below))} have no {bound} bound")
+            table[i] = k
+            continue
+        rows = table.take(covers[i], axis=0)
+        best = rows.min(axis=0)
+        failed = ~((rows.take(order.take(best), axis=1) == rows).all(axis=0) | below)
+        if failed.any():
+            raise NotALattice(f"elements {i} and {int(np.argmax(failed))} have two {least} {bound} bounds")
+        best[below] = k
+        table[i] = best
+    return order.take(table)
 
 
 def oracle_left_modular_test(P: FinitePoset):

@@ -1,6 +1,7 @@
 """Order relations, covers, joins/meets, and the built lattice families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,6 +583,20 @@ class TestClosureOperator:
         family = bubble(2, 2)
         for u in family.words:
             assert (y_fill(u) == u) == (u.ysupport == (1, 2))
+
+    def test_check_compares_in_row_blocks(self):
+        # one block of about _ROW_BLOCK bools plus O(N) arrays and the
+        # family's word index: 1.27 MiB at (4,4), where the N x N masks of
+        # the whole-matrix check peaked at 4.0 MiB
+        family = build_bubble_lattice(4, 4)
+        family.relations
+        tracemalloc.start()
+        try:
+            assert checks.check_yfill_closure(family).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestDuality:

@@ -15,7 +15,7 @@ from bubblelattice.galois import (
 )
 from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.labeling import BubbleLabel, edge_labels
-from bubblelattice.posets import FinitePoset
+from bubblelattice.posets import FinitePoset, maximum_length_chain
 
 from conftest import is_isomorphic, oracle_galois_graph_sd, oracle_order_irreducibles, splits
 
@@ -41,8 +41,8 @@ class TestOrdering:
         assert ordering.k == 5
 
     def test_identities_asserted_on_22(self, bubble):
-        # order_irreducibles itself verifies the prefix-join and suffix-meet
-        # identities for every step; reaching here means they held
+        # order_irreducibles checks that every step is a cover, which with
+        # the pinning implies the prefix-join and suffix-meet identities
         ordering = order_irreducibles(bubble(2, 2).poset)
         assert len(set(ordering.jseq)) == ordering.k == 8
 
@@ -79,8 +79,8 @@ def outcome(f, *args, **kwargs):
 
 
 class TestUpSetsAgainstTables:
-    """The ordering identities and the Galois arcs on up- and down-sets
-    against the table-based versions they replaced."""
+    """The ordering by covers and the Galois arcs on up-sets against the
+    table-based versions they replaced."""
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_bubble_families(self, m, n, bubble):
@@ -103,6 +103,45 @@ class TestUpSetsAgainstTables:
             steps = [j for j in P.up_adj[chain[-1]] if P.height_below[j] + P.depth_above[j] == k]
             chain.append(data.draw(st.sampled_from(steps)))
         assert outcome(order_irreducibles, P, chain) == outcome(oracle_order_irreducibles, P, chain)
+
+
+def assert_same_verdict(P, chain):
+    """order_irreducibles and the oracle accept the same chains with the
+    same ordering; where the oracle's identities refuse, the cover test does."""
+    new, old = outcome(order_irreducibles, P, chain), outcome(oracle_order_irreducibles, P, chain)
+    if isinstance(old, tuple) and old[1].startswith("ordering identities fail"):
+        assert isinstance(new, tuple) and new[1].endswith("is not a cover")
+    else:
+        assert new == old
+    return old
+
+
+class TestCoverTestAgainstIdentities:
+    """The cover test that replaced the prefix-join and suffix-meet
+    identities accepts and refuses the same sequences."""
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+    def test_one_element_replaced(self, m, n, bubble):
+        P = bubble(m, n).poset
+        chain = maximum_length_chain(P)
+        verdicts = [
+            assert_same_verdict(P, chain[:s] + [x] + chain[s + 1 :]) for s in range(len(chain)) for x in range(P.n)
+        ]
+        # some replacements pass the pinning and fail only the identities
+        assert any(isinstance(v, tuple) and v[1].startswith("ordering identities") for v in verdicts)
+
+    @settings(max_examples=60)
+    @given(mn=st.sampled_from([(2, 1), (2, 2)]), data=st.data())
+    def test_random_sequences(self, mn, data, bubble):
+        P = bubble(*mn).poset
+        k = P.length()
+        ids = st.integers(0, P.n - 1)
+        assert_same_verdict(P, data.draw(st.lists(ids, min_size=k + 1, max_size=k + 1)))
+        chain = maximum_length_chain(P)
+        a, b = data.draw(st.integers(0, k)), data.draw(st.integers(0, k))
+        chain[a], chain[b] = chain[b], chain[a]
+        chain[data.draw(st.integers(0, k))] = data.draw(ids)
+        assert_same_verdict(P, chain)
 
 
 class TestGaloisGraphs:

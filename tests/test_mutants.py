@@ -311,6 +311,44 @@ def test_yfill_closure_witness(monkeypatch, capsys):
     assert detail["witness"] == [str(first)] * 2
 
 
+def whole_matrix_yfill_witness(family):
+    """The first broken law of the y_fill check on whole N x N matrices, as
+    ``check_yfill_closure`` computed it before its row blocks."""
+    rel = family.relations[0]
+    fill = np.array([family.index(words.y_fill(u)) for u in family.words], dtype=np.intp)
+    full = np.array([len(u.ysupport) == family.n for u in family.words], dtype=bool)
+    own = np.arange(len(fill))
+    broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)
+    bad = rel & ~rel[np.ix_(fill, fill)]
+    bad[own[broken], fill[broken]] = True
+    a, b = divmod(int(np.flatnonzero(bad)[0]), len(fill))
+    return [str(family.words[a]), str(family.words[b])]
+
+
+def y_fill_leftmost(u):
+    """Each missing y_j just after the last y below j, else first: a fill
+    that is extensive and idempotent but not monotone."""
+    seq = u.letters
+    for j in range(1, u.n + 1):
+        if j not in u.ysupport:
+            pos = max((p + 1 for p, l in enumerate(seq) if not l.is_x and l.index < j), default=0)
+            seq = seq[:pos] + (words.Letter.y(j),) + seq[pos:]
+    return words.ShuffleWord(seq, u.m, u.n)
+
+
+@pytest.mark.parametrize("fault", [y_fill_leftmost, lambda u: u])
+@pytest.mark.parametrize("block", [1, 70, checks._ROW_BLOCK])
+def test_yfill_witness_is_the_first_broken_law(fault, block, monkeypatch):
+    """The row-blocked check names the first pair, row-major, of the whole
+    matrices, whatever the block."""
+    replace_everywhere(monkeypatch, words.y_fill, fault)
+    monkeypatch.setattr(checks, "_ROW_BLOCK", block)
+    family = build_bubble_lattice(2, 2)
+    result = checks.check_yfill_closure(family)
+    assert result.status == "fail"
+    assert result.detail == {"witness": whole_matrix_yfill_witness(family)}
+
+
 def test_order_axioms_witness(monkeypatch, capsys):
     original = bubble.order_relations
     replace_everywhere(monkeypatch, original, relation_without_rows(original))

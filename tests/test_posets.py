@@ -1,6 +1,8 @@
 """Generic poset engine: lattices, irreducibles, labels, crowns, doubling."""
 
+import re
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,7 @@ from conftest import (
     closure_lattices,
     is_isomorphic,
     mask_matrix,
+    oracle_certified_tables,
     oracle_lattice_tables,
     oracle_lambda_jsd,
     oracle_left_modular_test,
@@ -682,6 +685,51 @@ def assert_matches_oracles_or_not_a_lattice(P):
             lattice_tables(P)
         return
     assert_matches_oracles(P)
+
+
+def assert_matches_certified_oracle(P):
+    """The same tables as the walk that certifies both, or NotALattice with
+    the same message."""
+    try:
+        expected = oracle_certified_tables(P)
+    except NotALattice as exc:
+        with pytest.raises(NotALattice, match=f"^{re.escape(str(exc))}$"):
+            lattice_tables(P)
+        return
+    join, meet = lattice_tables(P)
+    assert np.array_equal(join, expected[0]) and np.array_equal(meet, expected[1])
+
+
+class TestUncertifiedMeetWalk:
+    """The meet walk without its certificate against the walk that
+    certifies both tables: once the join walk is certified, the meet
+    certificate can never fail."""
+
+    @given(st.one_of(random_bounded_poset(), relabelled_bounded_poset(), closure_lattices()))
+    # a join-semilattice without a bottom: "no lower bound" from the meet walk
+    @example(FinitePoset(3, [(0, 2), (1, 2)]))
+    # the bounded 2+2 crown: "two minimal upper bounds" from the join walk
+    @example(FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]))
+    def test_random_posets(self, P):
+        assert_matches_certified_oracle(P)
+
+    @pytest.mark.parametrize("P", [boolean_poset(2), n5(), FinitePoset(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)])])
+    def test_meet_by_max_is_caught(self, P, monkeypatch):
+        # the meet walk taking the greatest position among the lower-cover
+        # rows, i.e. the least candidate, in place of the greatest candidate
+        original = posets._bound_table
+        maxed = types.SimpleNamespace(**{**vars(np), "minimum": np.maximum})
+
+        def mutant(*args, certify=True):
+            if certify:
+                return original(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(posets, "np", maxed)
+                return original(*args, certify=False)
+
+        monkeypatch.setattr(posets, "_bound_table", mutant)
+        with pytest.raises(AssertionError):
+            assert_matches_oracles(FinitePoset(P.n, P.edges()))
 
 
 class TestCoverRecursionAgainstOracles:
