@@ -63,33 +63,37 @@ def _filled(rows, movers):
     return filled
 
 
-def order_relations(words: Sequence[ShuffleWord]):
+def order_relations(words: Sequence[ShuffleWord], _bubble: bool = True, _shuffle: bool = True):
     """The bubble and shuffle relations on ``words``, as N x N bool matrices.
 
     Entry [i, j] is ``leq_bubble(words[i], words[j])`` (resp.
     ``leq_shuffle``), from ``ShuffleWord.code`` in the narrowest unsigned
     dtype that holds every letter's bit, in blocks of about ``_ROW_BLOCK``
-    entries, so that no temporary is near N x N.
+    entries, so that no temporary is near N x N.  The private switches leave
+    one matrix unbuilt, None in its place: a family keeps only the bubble
+    relation, and the shuffle matrix is built where it is read.
     """
     count = len(words)
     dtype = np.min_scalar_type(1 << max((max(w.m, w.n) for w in words), default=0))
     xs, ys, rows, _ = _codes(words, dtype)
     rows = np.ascontiguousarray(rows.T)  # rows[t] holds row t of every word
-    bubble = np.empty((count, count), dtype=bool)
-    shuffle = np.empty((count, count), dtype=bool)
+    bubble, shuffle = (np.empty((count, count), dtype=bool) if wanted else None for wanted in (_bubble, _shuffle))
+    built = [matrix for matrix in (bubble, shuffle) if matrix is not None]
     step = max(1, _ROW_BLOCK // max(count, 1))
     for lo in range(0, count, step):
         block = slice(lo, lo + step)
         x, y = xs[block, None], ys[block, None]
         supports = ((xs & ~x) == 0) & ((y & ~ys) == 0)
-        bub, shuf = bubble[block], shuffle[block]
-        bub[:] = supports
-        shuf[:] = supports
+        for matrix in built:
+            matrix[block] = supports
         for t in range(1, len(rows)):
             kept = rows[t, block, None] & xs
-            bub &= (kept & ~rows[t]) == 0
-            shuf &= (kept == rows[t]) | ((y >> t) & 1 == 0)
-    bubble.flags.writeable = shuffle.flags.writeable = False
+            if _bubble:
+                bubble[block] &= (kept & ~rows[t]) == 0
+            if _shuffle:
+                shuffle[block] &= (kept == rows[t]) | ((y >> t) & 1 == 0)
+    for matrix in built:
+        matrix.flags.writeable = False
     return bubble, shuffle
 
 
@@ -251,9 +255,9 @@ class LatticeFamily:
         return self._index[u]
 
     @cached_property
-    def relations(self):
-        """The bubble and shuffle matrices of ``order_relations(self.words)``."""
-        return order_relations(self.words)
+    def relation(self):
+        """The bubble matrix of ``order_relations(self.words)``, built alone."""
+        return order_relations(self.words, _shuffle=False)[0]
 
     @cached_property
     def _index(self) -> dict[ShuffleWord, int]:
@@ -290,7 +294,7 @@ def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFam
     """Hasse diagram of the shuffle order, by transitive reduction."""
     _check_cap(m, n, cap)
     words = enumerate_shuffle(m, n)
-    _, shuffle = order_relations(words)
+    _, shuffle = order_relations(words, _bubble=False)
     return LatticeFamily(m, n, words, FinitePoset.from_matrix(shuffle))
 
 

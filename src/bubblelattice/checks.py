@@ -20,6 +20,7 @@ from .bubble import (
     build_bubble_lattice,
     extremal_chain_words,
     filling_tables,
+    order_relations,
 )
 from .errors import BubbleLatticeError, KappaMissing
 from .galois import (
@@ -36,7 +37,7 @@ from .labeling import (
     edge_labels,
     verify_cu_labeling,
 )
-from .posets import _ROW_BLOCK, FinitePoset, _bits, _masks, _packed, _reach
+from .posets import _ROW_BLOCK, FinitePoset, _bits, _masks, _matrix, _packed, _reach
 from .words import Letter, ShuffleWord, dualize, y_fill
 
 @dataclass
@@ -135,7 +136,7 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
     with u <= v <= u, else the first triple (u, v, w) with u <= v <= w but
     not u <= w.  A relation equal to the closure of the covers is transitive,
     so the triples are walked only when the two differ."""
-    rel, leq = family.relations[0], family.poset.leq_matrix
+    rel, leq = family.relation, family.poset.leq_matrix
     words = family.words
 
     def bad(rows):
@@ -155,7 +156,7 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
 
 
 def check_move_closure(family: LatticeFamily) -> CheckResult:
-    closure, rel, count = _packed(_move_closure(family)), family.relations[0], len(family.words)
+    closure, rel, count = _packed(_move_closure(family)), family.relation, len(family.words)
 
     def bad(rows):
         return np.unpackbits(closure[rows], axis=1, count=count, bitorder="little").view(bool) != rel[rows]
@@ -165,7 +166,7 @@ def check_move_closure(family: LatticeFamily) -> CheckResult:
 
 
 def check_shuffle_suborder(family: LatticeFamily) -> CheckResult:
-    bubble, shuffle = family.relations
+    bubble, shuffle = family.relation, order_relations(family.words, _bubble=False)[1]
     detail = _first_witness(family.words, lambda rows: shuffle[rows] & ~bubble[rows])
     return _result("order.shuffle_suborder", not detail, detail)
 
@@ -175,7 +176,7 @@ def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
     relation R.  ``FinitePoset`` refuses a cycle and any edge that is not a
     cover of its closure, so the covers are the reduction of R iff their
     closure is R; the witness is the first pair where the two differ."""
-    leq, rel = family.poset.leq_matrix, family.relations[0]
+    leq, rel = family.poset.leq_matrix, family.relation
     detail = _first_witness(family.words, lambda rows: leq[rows] != rel[rows])
     return _result("order.covers_match_reduction", not detail, detail)
 
@@ -247,7 +248,7 @@ def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
     classes: dict[tuple[int, int], list[int]] = {}
     for i, w in enumerate(family.words):
         classes.setdefault(w.code[:2], []).append(i)
-    rel = family.relations[0]
+    rel = family.relation
     ok = len(classes) == 2 ** (family.m + family.n)
     for (xs, ys), ids in classes.items():
         poset = FinitePoset.from_matrix(rel[np.ix_(ids, ids)])
@@ -260,7 +261,7 @@ def check_yfill_closure(family: LatticeFamily) -> CheckResult:
     """y_fill is a closure operator whose fixed points are the words with
     every y.  The witness is a pair (u, v) where a law fails: v = y_fill(u)
     and u's own laws fail, or u <= v and y_fill(u) is not below y_fill(v)."""
-    rel = family.relations[0]
+    rel = family.relation
     fill = np.array([family.index(y_fill(u)) for u in family.words], dtype=np.intp)
     full = np.array([u.code[1].bit_count() == family.n for u in family.words], dtype=bool)
     own = np.arange(len(fill))
@@ -338,23 +339,18 @@ def check_galois(family: LatticeFamily) -> CheckResult:
     relabeled = generic.relabeled(vertex_label)
     if set(relabeled.vertices) != set(explicit.vertices) or relabeled.arcs != explicit.arcs:
         return _result("galois.graphs_coincide", False, {"stage": "explicit"})
-    # Markowsky's canonical map p -> (J_p, M_p) must be an isomorphism onto
-    # the maximal orthogonal pairs: J_p an extent with intent M_p, a
-    # bijection, and covers sent to covers with equal edge counts
-    mop = max_orthogonal_pairs(generic)
-    extents = {extent: (i, intent) for i, (extent, intent) in enumerate(mop.pairs)}
-    image = []
-    for p in range(P.n):
-        jp = tuple(s + 1 for s, j in enumerate(ordering.jseq) if P.leq(j, p))
-        mp = tuple(s + 1 for s, m in enumerate(ordering.mseq) if P.leq(p, m))
-        i, intent = extents.get(jp, (None, None))
-        if intent == mp:
-            image.append(i)  # an unmatched p leaves image short of a bijection
-    covers = set(mop.poset.edges())
-    iso = (
-        len(set(image)) == P.n == len(mop.pairs)
-        and len(covers) == len(P.edges())
-        and all((image[a], image[b]) in covers for a, b in P.edges())
+    # Markowsky's canonical map p -> (J_p, M_p) is an isomorphism onto the
+    # maximal orthogonal pairs ordered by extent iff it hits each pair once
+    # and J_p ⊆ J_q iff p <= q.  J_p and M_p are int64 masks, bit s for
+    # vertex s + 1: every family under TABLE_LIMIT has k = mn + m + n <= 41
+    bit = np.int64(1) << np.arange(ordering.k, dtype=np.int64)
+    jp = bit @ _matrix([P.up[j] for j in ordering.jseq], P.n)
+    mp = bit @ _matrix([P.down[m] for m in ordering.mseq], P.n)
+    pairs, mask = max_orthogonal_pairs(generic), lambda vertices: sum(1 << (v - 1) for v in vertices)
+    index = {(mask(extent), mask(intent)): i for i, (extent, intent) in enumerate(pairs)}
+    image = {index.get(pair) for pair in zip(jp.tolist(), mp.tolist())}
+    iso = None not in image and len(image) == P.n == len(pairs) and not _first_witness(
+        family.words, lambda rows: ((jp[rows, None] & ~jp) == 0) != _matrix(P.up[rows], P.n)
     )
     return _result(
         "galois.graphs_coincide",

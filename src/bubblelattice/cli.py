@@ -146,14 +146,13 @@ def cmd_galois(args) -> int:
         path = outdir / f"galois_{m}_{n}.json"
         path.write_text(explicit.adjacency_json() + "\n")
         wrote.append(str(path))
-    mop = max_orthogonal_pairs(generic)
     summary = {
         "schema": SCHEMA_VERSION,
         "m": m,
         "n": n,
         "k": ordering.k,
         "arcs": len(explicit.arcs),
-        "orthogonal_pairs": len(mop.pairs),
+        "orthogonal_pairs": len(max_orthogonal_pairs(generic)),
         "elements": len(family.words),
     }
     print(json.dumps(summary, sort_keys=True, indent=2))

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import NotExtremal
 from .labeling import BubbleLabel
 from .posets import (
@@ -25,7 +23,6 @@ from .posets import (
 )
 
 Vertex = Hashable
-_BLOCK_ENTRIES = 1 << 20  # subset tests per block: bounds the int64 temporary
 
 
 @dataclass(frozen=True)
@@ -194,20 +191,14 @@ def bubble_galois_explicit(m: int, n: int) -> GaloisGraph:
     return GaloisGraph(tuple(vertices), frozenset(arcs))
 
 
-@dataclass(frozen=True)
-class OrthogonalPairs:
-    """All maximal orthogonal pairs, ordered by first-component inclusion."""
-
-    pairs: tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]
-    poset: FinitePoset
-
-
-def max_orthogonal_pairs(G: GaloisGraph) -> OrthogonalPairs:
-    """Maximal pairs (A, B) with no arc from A to B and A, B disjoint.
+def max_orthogonal_pairs(G: GaloisGraph) -> tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]:
+    """Maximal pairs (A, B) with no arc from A to B and A, B disjoint, by
+    extent size and then names.
 
     These are the formal concepts of the complement relation (minus the
     diagonal): extents are the intersections of its attribute columns, so a
     fixed-point sweep over column intersections enumerates everything.
+    Ordered by extent inclusion they form the lattice of the graph.
     """
     verts = G.vertices
     k = len(verts)
@@ -232,15 +223,8 @@ def max_orthogonal_pairs(G: GaloisGraph) -> OrthogonalPairs:
     def names(mask: int) -> tuple[Vertex, ...]:
         return tuple(verts[i] for i in range(k) if (mask >> i) & 1)
 
+    def intent(ext: int) -> int:
+        return sum(1 << v for v in range(k) if ext & ~compat[v] == 0 and not (ext >> v) & 1)
+
     ordered = sorted(extents, key=lambda e: (bin(e).count("1"), names(e)))
-    pairs = []
-    for ext in ordered:
-        intent = [v for v in range(k) if ext & ~compat[v] == 0 and not (ext >> v) & 1]
-        pairs.append((names(ext), tuple(verts[v] for v in intent)))
-    # extent i lies below extent j iff it is a subset; int64 holds k <= 63 bits
-    masks = np.array(ordered, dtype=np.int64 if k < 64 else object)
-    subset = np.empty((len(ordered), len(ordered)), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // len(ordered))
-    for lo in range(0, len(ordered), step):
-        subset[lo:lo + step] = (masks[lo:lo + step, None] & ~masks) == 0
-    return OrthogonalPairs(tuple(pairs), FinitePoset.from_matrix(subset))
+    return tuple((names(e), names(intent(e))) for e in ordered)

@@ -1,17 +1,18 @@
 """Finite posets and lattice analytics on top of bitset reachability.
 
 Elements are 0..n-1.  Reachability is cached as one big-int bitmask per
-element, so order tests are single AND/shift operations; the triple-
-quantified lattice checks (distributivity, left modularity) run over numpy
-join/meet tables instead, and semidistributivity is read off kappa.  The
-tables come from one recursion over covers; only the join walk carries a
-certificate, which makes it the one proof that P is a lattice, since a
+element, so order tests are single AND/shift operations.  Distributivity
+runs over numpy join/meet tables, left modularity tests the covers, the
+jsd label reads the down-sets and semidistributivity is read off kappa.
+The tables come from one recursion over covers; only the join walk carries
+a certificate, which makes it the one proof that P is a lattice, since a
 finite join-semilattice with a least element is one.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -236,9 +237,9 @@ class FinitePoset:
 # -- lattice tables ---------------------------------------------------------
 
 
-def _packed(masks: Sequence[int]) -> np.ndarray:
-    """Bitmask i as uint8 row i, little-endian: bit j sits in byte j >> 3."""
-    width = (len(masks) + 7) // 8
+def _packed(masks: Sequence[int], n: Optional[int] = None) -> np.ndarray:
+    """Bitmask i as uint8 row i of n bits (default len(masks)): bit j in byte j >> 3."""
+    width = ((len(masks) if n is None else n) + 7) // 8
     data = b"".join(mask.to_bytes(width, "little") for mask in masks)
     return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
 
@@ -249,9 +250,10 @@ def _masks(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _matrix(masks: Sequence[int]) -> np.ndarray:
-    """The bitmasks of n elements as an n x n bool matrix: the inverse of ``_masks``."""
-    return np.unpackbits(_packed(masks), axis=1, count=len(masks), bitorder="little").view(bool)
+def _matrix(masks: Sequence[int], n: Optional[int] = None) -> np.ndarray:
+    """The bitmasks as bool rows of n columns (default len(masks)): the inverse of ``_masks``."""
+    n = len(masks) if n is None else n
+    return np.unpackbits(_packed(masks, n), axis=1, count=n, bitorder="little").view(bool)
 
 
 # the tables hold element ids, so they index at most TABLE_LIMIT elements and
@@ -262,9 +264,6 @@ TABLE_LIMIT = int(np.iinfo(TABLE_DTYPE).max) + 1
 # entries per row block when a finished table's positions become ids, so the
 # only temporary of that step is one small block, not a second N x N array
 _ID_BLOCK = 1 << 16
-# entries per row block of the left-modularity test, whose gathers and masks
-# are then O(block) rather than N x N
-_LM_BLOCK = 1 << 20
 
 
 def _bound_table(
@@ -409,53 +408,53 @@ def is_distributive(P: FinitePoset) -> bool:
 
 
 def lambda_jsd(P: FinitePoset, edge: Edge) -> int:
-    """Meet of everything whose join with the lower end gives the upper end:
-    the candidate of least height, once its ``leq_matrix`` row is shown to
-    hold every other candidate.  No such candidate, or one that is not
-    join-irreducible, signals a lattice that is not join-semidistributive.
+    """The least x with p ∨ x = q for the cover p ⋖ q, found as the least of
+    the join-irreducibles j ≤ q with j ≰ p; NotJoinSemidistributive if none.
+
+    Each such j has p < p ∨ j ≤ q, so p ∨ j = q; each x with p ∨ x = q lies
+    above one, else x, the join of the join-irreducibles below it, is ≤ p.
+    So both sets have the same least element, if any, and it is always
+    join-irreducible.  A candidate exists, as q is the join of those below it.
     """
     p, q = edge
     if q not in P.up_adj[p]:
         raise ValueError(f"({p}, {q}) is not a cover")
-    join, _ = _tables(P)
-    heights = P.__dict__.get("_heights")
-    if heights is None:
-        heights = P.__dict__["_heights"] = np.array(P.height_below)
-    candidates = np.flatnonzero(join[p] == q)
-    label = int(candidates[np.argmin(heights[candidates])])
-    if not P.leq_matrix[label, candidates].all() or len(P.down_adj[label]) != 1:
-        raise NotJoinSemidistributive(f"edge ({p}, {q}) has no join-irreducible least candidate")
-    return label
+    _tables(P)  # raises NotALattice on a non-lattice
+    if "_join_irreducible_mask" not in P.__dict__:
+        P.__dict__["_join_irreducible_mask"] = sum(1 << j for j in join_irreducibles(P))
+    candidates = P.down[q] & ~P.down[p] & P.__dict__["_join_irreducible_mask"]
+    for label in _bits(candidates):
+        if not candidates & ~P.up[label]:
+            return label
+    raise NotJoinSemidistributive(f"edge ({p}, {q}) has no least candidate")
 
 
 # -- extremality and trimness -------------------------------------------------
 
 
 def is_extremal(P: FinitePoset) -> bool:
-    k = P.length()
-    nj = len(join_irreducibles(P))
-    nm = len(meet_irreducibles(P))
-    if k > min(nj, nm):
-        raise RuntimeError("length exceeded the irreducible counts; corrupt poset")
-    return k == nj == nm
+    return P.length() == len(join_irreducibles(P)) == len(meet_irreducibles(P))
 
 
 def _left_modular_test(P: FinitePoset) -> Callable[[int], bool]:
-    """The left-modularity test of one element: (r ∨ p) ∧ q = r ∨ (p ∧ q)
-    for every r < q, compared in blocks of rows r, so that no temporary is
-    larger than about ``_LM_BLOCK`` entries; it stops at the first bad block.
-    The pairs r = q need no mask: (r ∨ p) ∧ r = r = r ∨ (p ∧ r) by absorption."""
-    join, meet = _tables(P)
-    leq = P.leq_matrix
-    step = max(1, _LM_BLOCK // max(P.n, 1))
+    """The test that x is left modular, (y ∨ x) ∧ z = y ∨ (x ∧ z) for all
+    y < z, on covers: it holds iff no cover y ⋖ z has z ≤ y ∨ x and x ∧ z ≤ y.
 
-    def test(p: int) -> bool:
-        for lo in range(0, P.n, step):
-            lhs = meet.take(join[lo : lo + step, p], axis=0)  # (r ∨ p) ∧ q
-            rhs = join[lo : lo + step].take(meet[p], axis=1)  # r ∨ (p ∧ q)
-            if ((lhs != rhs) & leq[lo : lo + step]).any():
-                return False
-        return True
+    Such a cover fails the identity, with z on the left and y on the right.
+    If some y < z fails it, g = y ∨ (x ∧ z) < f = (y ∨ x) ∧ z (g ≤ f always),
+    and as g ∨ x = y ∨ x and x ∧ f = x ∧ z, each cover g ⋖ w ≤ f has
+    w ≤ g ∨ x and x ∧ w ≤ x ∧ f ≤ g.  So the test reads row x of each table
+    and, per edge, two join-table entries for the order: a ≤ b iff a ∨ b = b.
+    """
+    join, meet = _tables(P)
+    flat = join.ravel()
+    lower = np.repeat(np.arange(P.n), list(map(len, P.up_adj)))
+    upper = np.fromiter(itertools.chain.from_iterable(P.up_adj), dtype=np.intp, count=len(lower))
+
+    def test(x: int) -> bool:
+        joins, meets = join[x].take(lower), meet[x].take(upper).astype(np.intp)  # y ∨ x, x ∧ z
+        above = flat.take(upper * P.n + joins) == joins  # z ≤ y ∨ x
+        return not np.logical_and(above, flat.take(meets * P.n + lower) == lower).any()  # and x ∧ z ≤ y
 
     return test
 

@@ -15,10 +15,13 @@ is the cover recursion with the certificate on the meet walk too, which
 ``posets._tables`` dropped as redundant once the join walk is certified.
 ``semidistributive_half`` is the triple scan over the join and meet tables
 that the kappa route to semidistributivity replaced, and
-``oracle_left_modular_test`` the full-matrix left-modularity test that the
-row-blocked one replaced.  ``is_isomorphic`` is
+``oracle_left_modular_test`` the full-matrix left-modularity test, over
+every pair y < z, that the test on covers replaced.  ``is_isomorphic`` is
 a backtracking isomorphism search for small posets, which the Galois check
-replaced by Markowsky's canonical map.  ``oracle_reduction`` is the
+replaced by Markowsky's canonical map, and ``extent_poset`` the maximal
+orthogonal pairs ordered by the pairwise subset test of their extents,
+which the check replaced by comparing J_p with the order of the lattice.
+``oracle_reduction`` is the
 transitive reduction by a walk over every bit of every up-set, which cover
 jumping in ``FinitePoset.from_matrix`` replaced, and ``closure_matrix`` the
 move closure by iterated squaring, which the one topological pass replaced.
@@ -26,7 +29,7 @@ move closure by iterated squaring, which the one topological pass replaced.
 a cover letter by letter, the oracle for the covers and labels that
 ``bubble._cover_steps`` reads off the code; ``oracle_lambda_jsd`` is the
 meet of the candidates by a reduce over the meet table, which the least
-candidate in ``posets.lambda_jsd`` replaced.  ``oracle_verify_cu_labeling``
+join-irreducible candidate in ``posets.lambda_jsd`` replaced.  ``oracle_verify_cu_labeling``
 is the polygon-by-polygon CU loop on label objects that CU on codes
 replaced, and ``oracle_order_irreducibles`` and ``oracle_galois_graph_sd``
 test the ordering identities and the Galois arcs on the join and meet
@@ -245,11 +248,13 @@ def lambda_bubble(u: ShuffleWord, v: ShuffleWord) -> BubbleLabel:
 
 def oracle_lambda_jsd(P: FinitePoset, edge: tuple[int, int]) -> int:
     """The meet of every x with p v x = q, by a reduce over the meet table;
-    NotJoinSemidistributive unless it is join-irreducible."""
+    NotJoinSemidistributive unless it is itself such an x, and join-irreducible."""
     p, q = edge
     join, meet = lattice_tables(P)
     candidates = np.nonzero(join[p] == q)[0]
     label = reduce(lambda a, b: int(meet[a, b]), candidates[1:], int(candidates[0]))
+    if join[p, label] != q:
+        raise NotJoinSemidistributive(f"edge ({p}, {q}) has no least candidate: their meet {label} is none")
     if len(P.down_adj[label]) != 1:
         raise NotJoinSemidistributive(f"edge ({p}, {q}) has non-irreducible label {label}")
     return label
@@ -353,7 +358,7 @@ def _certified_bound_table(topo, covers, down, bound: str, least: str) -> np.nda
 def oracle_left_modular_test(P: FinitePoset):
     """The left-modularity test of one element, (r ∨ p) ∧ q = r ∨ (p ∧ q)
     for every r < q, on the oracle tables and two full N x N gathers per
-    element: the test that the row-blocked one in ``posets`` replaced."""
+    element: the test that the one on covers in ``posets`` replaced."""
     join, meet = oracle_lattice_tables(P)
     not_lt = ~P.leq_matrix | np.eye(P.n, dtype=bool)
 
@@ -515,6 +520,13 @@ def oracle_galois_graph_sd(P: FinitePoset, ordering: IrreducibleOrdering) -> Gal
             if s != t and P.leq(jt, int(join[P.down_adj[jt][0], js])):
                 arcs.add((s + 1, t + 1))
     return GaloisGraph(tuple(range(1, k + 1)), frozenset(arcs))
+
+
+def extent_poset(pairs) -> FinitePoset:
+    """Maximal orthogonal pairs, element i the pair ``pairs[i]``, ordered by
+    the pairwise subset test of their extents."""
+    extents = [set(extent) for extent, _ in pairs]
+    return FinitePoset.from_leq(len(extents), lambda i, j: extents[i] <= extents[j])
 
 
 def _refine_colors(P: FinitePoset) -> tuple[int, ...]:

@@ -294,19 +294,26 @@ class TestKernelAgainstOracle:
     def test_relation_matrices(self, m, n, bubble):
         family = bubble(m, n)
         words = family.words
-        bub, shuf = family.relations
+        bub, shuf = family.relation, order_relations(words)[1]
         for i, u in enumerate(words):
             assert bub[i].tolist() == [leq_bubble(u, v) for v in words]
             assert shuf[i].tolist() == [leq_shuffle(u, v) for v in words]
-        assert family.relations is family.relations
+        assert family.relation is family.relation
         assert not bub.flags.writeable and not shuf.flags.writeable
 
     @pytest.mark.parametrize("block", [1, 100, 1000])
     def test_relation_matrices_do_not_depend_on_the_row_block(self, block, bubble, monkeypatch):
         family = bubble(3, 3)
+        whole = order_relations(family.words)
+        assert np.array_equal(whole[0], family.relation)
         monkeypatch.setattr(bubble_module, "_ROW_BLOCK", block)
-        for whole, blocked in zip(family.relations, order_relations(family.words)):
-            assert np.array_equal(whole, blocked)
+        for blocked, matrix in zip(order_relations(family.words), whole):
+            assert np.array_equal(blocked, matrix)
+        # each private switch leaves its own matrix out and the other as it is
+        bub, none = order_relations(family.words, _shuffle=False)
+        assert none is None and np.array_equal(bub, whole[0])
+        none, shuf = order_relations(family.words, _bubble=False)
+        assert none is None and np.array_equal(shuf, whole[1])
 
     @given(random_word_pair(max_m=12, max_n=12))
     @example((w("x1.y2.x7.y7", 7, 7), w("y1.x7", 7, 7)))  # the widest uint8 masks
@@ -552,7 +559,7 @@ class TestSameSupport:
         # their support masks and ordered by the code relation, are the
         # oracle's classes under inversion inclusion
         family = bubble(2, 2)
-        rel = family.relations[0]
+        rel = family.relation
         classes = {}
         for i, u in enumerate(family.words):
             classes.setdefault(u.code[:2], []).append(i)
@@ -589,7 +596,7 @@ class TestClosureOperator:
         # family's word index: 1.27 MiB at (4,4), where the N x N masks of
         # the whole-matrix check peaked at 4.0 MiB
         family = build_bubble_lattice(4, 4)
-        family.relations
+        family.relation
         tracemalloc.start()
         try:
             assert checks.check_yfill_closure(family).ok

@@ -15,9 +15,9 @@ from bubblelattice.galois import (
 )
 from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.labeling import BubbleLabel, edge_labels
-from bubblelattice.posets import FinitePoset, maximum_length_chain
+from bubblelattice.posets import FinitePoset, is_lattice, maximum_length_chain
 
-from conftest import is_isomorphic, oracle_galois_graph_sd, oracle_order_irreducibles, splits
+from conftest import extent_poset, is_isomorphic, oracle_galois_graph_sd, oracle_order_irreducibles, splits
 
 X, Y, XY = BubbleLabel.xlab, BubbleLabel.ylab, BubbleLabel.pairlab
 
@@ -68,6 +68,11 @@ class TestOrdering:
         P = FinitePoset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         with pytest.raises(NotExtremal):
             order_irreducibles(P)
+
+    def test_longer_than_its_join_irreducibles_rejected(self):
+        # length 2, one join-irreducible: a valid poset, not a lattice
+        with pytest.raises(NotExtremal):
+            order_irreducibles(FinitePoset(4, [(0, 1), (1, 2), (3, 2)]))
 
 
 def outcome(f, *args, **kwargs):
@@ -165,8 +170,7 @@ class TestGaloisGraphs:
         ordering = order_irreducibles(P)
         G = galois_graph(P, ordering)
         assert G.arcs == {(s, t) for s in range(1, 4) for t in range(1, 4) if s > t}
-        mop = max_orthogonal_pairs(G)
-        assert is_isomorphic(mop.poset, P) is not None
+        assert is_isomorphic(extent_poset(max_orthogonal_pairs(G)), P) is not None
 
     def test_boolean_graph_arcless(self):
         P = boolean_poset(3)
@@ -231,15 +235,15 @@ class TestExplicitGraph:
 class TestOrthogonalPairs:
     def test_reconstructs_bubble_21(self, bubble):
         family = bubble(2, 1)
-        mop = max_orthogonal_pairs(bubble_galois_explicit(2, 1))
-        assert len(mop.pairs) == 12
-        assert is_isomorphic(mop.poset, family.poset) is not None
+        pairs = max_orthogonal_pairs(bubble_galois_explicit(2, 1))
+        assert len(pairs) == 12
+        assert is_isomorphic(extent_poset(pairs), family.poset) is not None
 
     def test_arcless_graph_gives_boolean(self):
         G = GaloisGraph(tuple(range(4)), frozenset())
-        mop = max_orthogonal_pairs(G)
-        assert len(mop.pairs) == 16
-        extents = {frozenset(a) for a, _ in mop.pairs}
+        pairs = max_orthogonal_pairs(G)
+        assert len(pairs) == 16
+        extents = {frozenset(a) for a, _ in pairs}
         assert extents == {
             frozenset(s)
             for s in [
@@ -249,16 +253,15 @@ class TestOrthogonalPairs:
         }
 
     def test_empty_graph(self):
-        mop = max_orthogonal_pairs(GaloisGraph((), frozenset()))
-        assert mop.pairs == (((), ()),)
-        assert mop.poset.n == 1
+        pairs = max_orthogonal_pairs(GaloisGraph((), frozenset()))
+        assert pairs == (((), ()),)
+        assert extent_poset(pairs).n == 1
 
     def test_pairs_are_orthogonal_and_maximal(self, bubble):
         G = bubble_galois_explicit(2, 2)
-        mop = max_orthogonal_pairs(G)
         arcs = G.arcs
         verts = set(G.vertices)
-        for A, B in mop.pairs:
+        for A, B in max_orthogonal_pairs(G):
             sa, sb = set(A), set(B)
             assert not sa & sb
             assert all((a, b) not in arcs for a in sa for b in sb)
@@ -270,28 +273,36 @@ class TestOrthogonalPairs:
     @pytest.mark.parametrize("make", [lambda: chain_poset(4), lambda: boolean_poset(3)])
     def test_reconstruction_zoo(self, make):
         P = make()
-        mop = max_orthogonal_pairs(galois_graph(P, order_irreducibles(P)))
-        assert is_isomorphic(mop.poset, P) is not None
+        pairs = max_orthogonal_pairs(galois_graph(P, order_irreducibles(P)))
+        assert is_isomorphic(extent_poset(pairs), P) is not None
 
     def test_reconstruction_triwords(self):
         _, H = hochschild_lattice(4)
-        mop = max_orthogonal_pairs(galois_graph(H, order_irreducibles(H)))
-        assert is_isomorphic(mop.poset, H) is not None
-
-
-def assert_subset_order(G):
-    """The extents are ordered as by the pairwise subset test."""
-    mop = max_orthogonal_pairs(G)
-    extents = [set(a) for a, _ in mop.pairs]
-    oracle = FinitePoset.from_leq(len(extents), lambda i, j: extents[i] <= extents[j])
-    assert mop.poset.edges() == oracle.edges()
+        pairs = max_orthogonal_pairs(galois_graph(H, order_irreducibles(H)))
+        assert is_isomorphic(extent_poset(pairs), H) is not None
 
 
 def galois_of(P):
     return galois_graph(P, order_irreducibles(P))
 
 
+def canonical_image(P, ordering, pairs):
+    """The index in ``pairs`` of (J_p, M_p) for each p, on vertices 1..k,
+    by ``P.leq``; None where no pair matches."""
+    index = {(frozenset(a), frozenset(b)): i for i, (a, b) in enumerate(pairs)}
+    return [
+        index.get((
+            frozenset(s + 1 for s, j in enumerate(ordering.jseq) if P.leq(j, p)),
+            frozenset(t + 1 for t, m in enumerate(ordering.mseq) if P.leq(p, m)),
+        ))
+        for p in range(P.n)
+    ]
+
+
 class TestExtentOrder:
+    """Extent inclusion, the order of the maximal orthogonal pairs, by the
+    pairwise subset test of ``extent_poset``."""
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -306,17 +317,28 @@ class TestExtentOrder:
         ],
     )
     def test_fixtures(self, make):
-        assert_subset_order(make())
+        # a lattice, in which extent inclusion reverses intent inclusion
+        pairs = max_orthogonal_pairs(make())
+        E = extent_poset(pairs)
+        intents = [set(b) for _, b in pairs]
+        assert is_lattice(E)
+        assert all(E.leq(i, j) == (intents[j] <= intents[i]) for i in range(E.n) for j in range(E.n))
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_bubble_families(self, m, n, bubble):
-        assert_subset_order(galois_of(bubble(m, n).poset))
+        # Markowsky's canonical map is an order isomorphism onto the extents
+        P = bubble(m, n).poset
+        ordering = order_irreducibles(P)
+        pairs = max_orthogonal_pairs(galois_graph(P, ordering))
+        image, E = canonical_image(P, ordering, pairs), extent_poset(pairs)
+        assert len(image) == len(pairs) and set(image) == set(range(len(pairs)))
+        assert all(E.leq(image[p], image[q]) == P.leq(p, q) for p in range(P.n) for q in range(P.n))
 
     def test_more_than_63_vertices(self):
         k = 70
         arcs = frozenset((a, b) for a in range(k) for b in range(k) if a != b)
-        mop = max_orthogonal_pairs(GaloisGraph(tuple(range(k)), arcs))
-        assert mop.poset.edges() == [(0, 1)]
+        pairs = max_orthogonal_pairs(GaloisGraph(tuple(range(k)), arcs))
+        assert pairs == (((), tuple(range(k))), (tuple(range(k)), ()))
 
 
 class TestExports:

@@ -22,8 +22,8 @@ from conftest import oracle_verify_cu_labeling, replace_everywhere, upper_covers
 def relation_without_rows(original):
     """The bubble relation reduced to its two support containments."""
 
-    def mutant(ws):
-        _, shuffle = original(ws)
+    def mutant(ws, **switches):
+        _, shuffle = original(ws, **switches)
         xs = np.array([w.code[0] for w in ws])
         ys = np.array([w.code[1] for w in ws])
         return ((xs & ~xs[:, None]) == 0) & ((ys[:, None] & ~ys) == 0), shuffle
@@ -140,6 +140,15 @@ def chain_reversed(original):
     return mutant
 
 
+def pairs_without_the_last(original):
+    """The maximal orthogonal pairs less the last one, the top's."""
+
+    def mutant(G):
+        return original(G)[:-1]
+
+    return mutant
+
+
 MUTANTS = {
     "relation_drops_rows": (
         lambda: bubble.order_relations,
@@ -200,6 +209,11 @@ MUTANTS = {
         lambda: bubble.extremal_chain_words,
         chain_reversed,
         {"lattice.semidistributive_trim", "galois.graphs_coincide"},
+    ),
+    "orthogonal_pairs_drop_the_last": (
+        lambda: galois.max_orthogonal_pairs,
+        pairs_without_the_last,
+        {"galois.graphs_coincide"},
     ),
 }
 # the hochschild suite skips every n != 1; keeping the letters stays in the
@@ -293,9 +307,9 @@ def test_move_closure_witness(monkeypatch, capsys):
 def test_shuffle_suborder_witness(monkeypatch, capsys):
     original = bubble.order_relations
 
-    def everything_shuffle_below(ws):
-        bub, shuffle = original(ws)
-        return bub, np.ones_like(shuffle)
+    def everything_shuffle_below(ws, **switches):
+        bub, _ = original(ws, **switches)
+        return bub, np.ones((len(ws), len(ws)), dtype=bool)
 
     replace_everywhere(monkeypatch, original, everything_shuffle_below)
     detail = check_detail(["check", "2", "2", "--suite", "order"], "order.shuffle_suborder", capsys)
@@ -314,7 +328,7 @@ def test_yfill_closure_witness(monkeypatch, capsys):
 def whole_matrix_yfill_witness(family):
     """The first broken law of the y_fill check on whole N x N matrices, as
     ``check_yfill_closure`` computed it before its row blocks."""
-    rel = family.relations[0]
+    rel = family.relation
     fill = np.array([family.index(words.y_fill(u)) for u in family.words], dtype=np.intp)
     full = np.array([len(u.ysupport) == family.n for u in family.words], dtype=bool)
     own = np.arange(len(fill))
@@ -368,10 +382,10 @@ def test_order_axioms_witness(monkeypatch, capsys):
 def test_order_axioms_transitivity_witness(monkeypatch, capsys):
     original = bubble.order_relations
 
-    def covers_only(ws):
+    def covers_only(ws, **switches):
         # the cover relation with its diagonal: reflexive and antisymmetric,
         # not transitive once a chain has two covers
-        _, shuffle = original(ws)
+        _, shuffle = original(ws, **switches)
         src, dst, *_ = bubble._cover_steps(ws)
         rel = np.eye(len(ws), dtype=bool)
         rel[src, dst] = True
@@ -467,8 +481,8 @@ def test_order_witnesses_do_not_depend_on_the_row_block(block, monkeypatch, caps
     original = bubble.order_relations
     supports_only = relation_without_rows(original)
 
-    def everything_shuffle_below(ws):
-        return supports_only(ws)[0], np.ones((len(ws), len(ws)), dtype=bool)
+    def everything_shuffle_below(ws, **switches):
+        return supports_only(ws, **switches)[0], np.ones((len(ws), len(ws)), dtype=bool)
 
     replace_everywhere(monkeypatch, original, everything_shuffle_below)
     assert main(["check", "2", "2", "--suite", "order"]) == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from bubblelattice import posets
-from bubblelattice.bubble import extremal_chain_words
+from bubblelattice.bubble import build_bubble_lattice, extremal_chain_words
 from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive
 from bubblelattice.hochschild import hochschild_lattice
 from bubblelattice.posets import (
@@ -240,6 +240,29 @@ def is_perspective(P, e1, e2):
     return half(*e1, *e2) or half(*e2, *e1)
 
 
+def jsd_outcomes(P, label=lambda_jsd):
+    """The label of every edge, None where NotJoinSemidistributive is raised."""
+    out = []
+    for e in P.edges():
+        try:
+            out.append(label(P, e))
+        except NotJoinSemidistributive:
+            out.append(None)
+    return out
+
+
+def greatest_candidate(P, edge):
+    """A wrong jsd label: the candidate of greatest height."""
+    p, q = edge
+    candidates = [j for j in join_irreducibles(P) if P.leq(j, q) and not P.leq(j, p)]
+    return max(candidates, key=P.height_below.__getitem__)
+
+
+# M3 stacked on a one-element chain: the x with 2 ∨ x = 5 are 3, 4 and 5,
+# whose meet, 1, is not one of them, as 2 ∨ 1 = 2
+M3_ON_A_CHAIN = FinitePoset(6, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+
+
 class TestJsdLabeling:
     def test_bottom_edge_label(self, bubble):
         family = bubble(2, 1)
@@ -266,6 +289,28 @@ class TestJsdLabeling:
         with pytest.raises(NotJoinSemidistributive):
             for e in P.edges():
                 lambda_jsd(P, e)
+
+    def test_oracle_rejects_a_meet_that_is_no_candidate(self):
+        with pytest.raises(NotJoinSemidistributive, match="no least candidate"):
+            oracle_lambda_jsd(M3_ON_A_CHAIN, (2, 5))
+        with pytest.raises(NotJoinSemidistributive):
+            lambda_jsd(M3_ON_A_CHAIN, (2, 5))
+
+    @given(closure_lattices())
+    @example(M3_ON_A_CHAIN)
+    def test_join_irreducible_route_is_the_meet_reduce(self, P):
+        assert jsd_outcomes(P) == jsd_outcomes(P, oracle_lambda_jsd)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+    def test_greatest_candidate_is_caught(self, m, n, bubble):
+        P = bubble(m, n).poset
+        assert jsd_outcomes(P, greatest_candidate) != jsd_outcomes(P, oracle_lambda_jsd)
+
+    def test_non_cover_and_non_lattice(self):
+        with pytest.raises(ValueError, match="not a cover"):
+            lambda_jsd(n5(), (0, 3))
+        with pytest.raises(NotALattice):
+            lambda_jsd(FinitePoset(3, [(0, 2), (1, 2)]), (0, 2))
 
     def test_canonical_join_reps(self, bubble):
         family = bubble(2, 2)
@@ -340,15 +385,21 @@ class TestExtremal:
         assert is_extremal(P)
         assert P.length() == m * n + m + n
 
+    def test_longer_than_its_join_irreducibles(self):
+        # length 2 with one join-irreducible and three meet-irreducibles: not
+        # a lattice, and not extremal
+        P = FinitePoset(4, [(0, 1), (1, 2), (3, 2)])
+        assert P.length() == 2 and len(join_irreducibles(P)) == 1
+        assert not is_extremal(P)
+
 
 def test_chain_test_needs_no_square_temporaries(bubble):
-    # per block of about _LM_BLOCK entries: two uint16 gathers and two bool
-    # masks, or the last block's gathers while the next are built; about
-    # 6 MiB at (4,4), where the full-matrix test peaked at 35 MiB
+    # the two edge arrays and a few gathers over them per element: 0.36 MiB,
+    # 49 bytes per edge, at (4,4), where the full-matrix test peaked at
+    # 35 MiB and its row blocks at 6 MiB
     family = bubble(4, 4)
     P = family.poset
     lattice_tables(P)
-    P.leq_matrix
     chain = [family.index(w) for w in extremal_chain_words(4, 4)]
     tracemalloc.start()
     try:
@@ -356,14 +407,12 @@ def test_chain_test_needs_no_square_temporaries(bubble):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * posets._LM_BLOCK * posets.TABLE_DTYPE.itemsize
+    assert peak <= 64 * len(P.edges())
 
 
-def left_modular_flags(P, block):
-    """The left-modularity test of every element, in row blocks of about
-    ``block`` entries (1: one row per block)."""
-    with mock.patch.object(posets, "_LM_BLOCK", block):
-        return list(map(posets._left_modular_test(P), range(P.n)))
+def left_modular_flags(P):
+    """The left-modularity test of every element, on the covers."""
+    return list(map(posets._left_modular_test(P), range(P.n)))
 
 
 class TestTrim:
@@ -382,21 +431,29 @@ class TestTrim:
         assert chain is not None and len(chain) == P.length() + 1
 
     @given(closure_lattices())
-    # N5 relabelled so that its one failing row, the lower element of the
-    # long side, is the first id or the last
+    # N5 relabelled so that its one failing element, the lower element of
+    # the long side, is the first id or the last
     @example(FinitePoset(5, [(1, 0), (0, 3), (1, 4), (3, 2), (4, 2)]))
     @example(FinitePoset(5, [(0, 4), (4, 3), (0, 1), (3, 2), (1, 2)]))
-    def test_blocked_test_is_the_full_matrix_oracle(self, P):
-        # blocks of one row, of several rows with a shorter last one, and one block
-        flags = list(map(oracle_left_modular_test(P), range(P.n)))
-        assert all(left_modular_flags(P, block) == flags for block in (1, 12, posets._LM_BLOCK))
+    def test_cover_test_is_the_full_matrix_oracle(self, P):
+        assert left_modular_flags(P) == list(map(oracle_left_modular_test(P), range(P.n)))
+
+    @pytest.mark.parametrize("conjunct", [0, 1])
+    @pytest.mark.parametrize("make", [n5, m3, lambda: build_bubble_lattice(2, 1).poset])
+    def test_cover_test_without_a_conjunct_is_caught(self, make, conjunct, monkeypatch):
+        # without "x ∧ z ≤ y" the top fails on every cover, and without
+        # "z ≤ y ∨ x" the bottom does; both are left modular
+        P = make()
+        dropped = types.SimpleNamespace(**{**vars(np), "logical_and": lambda *both: both[conjunct]})
+        monkeypatch.setattr(posets, "np", dropped)
+        assert left_modular_flags(P) != list(map(oracle_left_modular_test(P), range(P.n)))
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_chain_test_is_the_element_tests(self, m, n, bubble):
         family = bubble(m, n)
         P = family.poset
         flags = list(map(oracle_left_modular_test(P), range(P.n)))
-        assert left_modular_flags(P, 1) == left_modular_flags(P, posets._LM_BLOCK) == flags
+        assert left_modular_flags(P) == flags
         paper = [family.index(w) for w in extremal_chain_words(m, n)]
         for chain in (paper, paper[::-1]):
             covers = all(b in P.up_adj[a] for a, b in zip(chain, chain[1:]))
