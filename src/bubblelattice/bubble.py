@@ -63,38 +63,35 @@ def _filled(rows, movers):
     return filled
 
 
-def order_relations(words: Sequence[ShuffleWord], _bubble: bool = True, _shuffle: bool = True):
-    """The bubble and shuffle relations on ``words``, as N x N bool matrices.
+def order_relation(words: Sequence[ShuffleWord], _shuffle: bool = False):
+    """The bubble relation on ``words``, or with ``_shuffle`` the shuffle
+    relation, as a read-only N x N bool matrix.
 
     Entry [i, j] is ``leq_bubble(words[i], words[j])`` (resp.
     ``leq_shuffle``), from ``ShuffleWord.code`` in the narrowest unsigned
     dtype that holds every letter's bit, in blocks of about ``_ROW_BLOCK``
-    entries, so that no temporary is near N x N.  The private switches leave
-    one matrix unbuilt, None in its place: a family keeps only the bubble
-    relation, and the shuffle matrix is built where it is read.
+    entries, so that no temporary is near N x N.  A family keeps only the
+    bubble relation; the shuffle matrix is built where it is read.
     """
     count = len(words)
     dtype = np.min_scalar_type(1 << max((max(w.m, w.n) for w in words), default=0))
     xs, ys, rows, _ = _codes(words, dtype)
     rows = np.ascontiguousarray(rows.T)  # rows[t] holds row t of every word
-    bubble, shuffle = (np.empty((count, count), dtype=bool) if wanted else None for wanted in (_bubble, _shuffle))
-    built = [matrix for matrix in (bubble, shuffle) if matrix is not None]
+    relation = np.empty((count, count), dtype=bool)
     step = max(1, _ROW_BLOCK // max(count, 1))
     for lo in range(0, count, step):
         block = slice(lo, lo + step)
         x, y = xs[block, None], ys[block, None]
-        supports = ((xs & ~x) == 0) & ((y & ~ys) == 0)
-        for matrix in built:
-            matrix[block] = supports
+        out = relation[block]
+        out[:] = ((xs & ~x) == 0) & ((y & ~ys) == 0)
         for t in range(1, len(rows)):
             kept = rows[t, block, None] & xs
-            if _bubble:
-                bubble[block] &= (kept & ~rows[t]) == 0
             if _shuffle:
-                shuffle[block] &= (kept == rows[t]) | ((y >> t) & 1 == 0)
-    for matrix in built:
-        matrix.flags.writeable = False
-    return bubble, shuffle
+                out &= (kept == rows[t]) | ((y >> t) & 1 == 0)
+            else:
+                out &= (kept & ~rows[t]) == 0
+    relation.flags.writeable = False
+    return relation
 
 
 @dataclass(frozen=True)
@@ -256,8 +253,8 @@ class LatticeFamily:
 
     @cached_property
     def relation(self):
-        """The bubble matrix of ``order_relations(self.words)``, built alone."""
-        return order_relations(self.words, _shuffle=False)[0]
+        """The bubble matrix ``order_relation(self.words)``."""
+        return order_relation(self.words)
 
     @cached_property
     def _index(self) -> dict[ShuffleWord, int]:
@@ -294,8 +291,7 @@ def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFam
     """Hasse diagram of the shuffle order, by transitive reduction."""
     _check_cap(m, n, cap)
     words = enumerate_shuffle(m, n)
-    _, shuffle = order_relations(words, _bubble=False)
-    return LatticeFamily(m, n, words, FinitePoset.from_matrix(shuffle))
+    return LatticeFamily(m, n, words, FinitePoset.from_matrix(order_relation(words, _shuffle=True)))
 
 
 def extremal_chain_words(m: int, n: int) -> list[ShuffleWord]:

@@ -20,7 +20,7 @@ from .bubble import (
     build_bubble_lattice,
     extremal_chain_words,
     filling_tables,
-    order_relations,
+    order_relation,
 )
 from .errors import BubbleLatticeError, KappaMissing
 from .galois import (
@@ -166,7 +166,7 @@ def check_move_closure(family: LatticeFamily) -> CheckResult:
 
 
 def check_shuffle_suborder(family: LatticeFamily) -> CheckResult:
-    bubble, shuffle = family.relation, order_relations(family.words, _bubble=False)[1]
+    bubble, shuffle = family.relation, order_relation(family.words, _shuffle=True)
     detail = _first_witness(family.words, lambda rows: shuffle[rows] & ~bubble[rows])
     return _result("order.shuffle_suborder", not detail, detail)
 

@@ -21,7 +21,7 @@ from bubblelattice.bubble import (
     leq_bubble,
     leq_shuffle,
     meet,
-    order_relations,
+    order_relation,
 )
 from bubblelattice.errors import CapExceeded
 from bubblelattice.posets import FinitePoset
@@ -294,7 +294,7 @@ class TestKernelAgainstOracle:
     def test_relation_matrices(self, m, n, bubble):
         family = bubble(m, n)
         words = family.words
-        bub, shuf = family.relation, order_relations(words)[1]
+        bub, shuf = family.relation, order_relation(words, _shuffle=True)
         for i, u in enumerate(words):
             assert bub[i].tolist() == [leq_bubble(u, v) for v in words]
             assert shuf[i].tolist() == [leq_shuffle(u, v) for v in words]
@@ -304,16 +304,10 @@ class TestKernelAgainstOracle:
     @pytest.mark.parametrize("block", [1, 100, 1000])
     def test_relation_matrices_do_not_depend_on_the_row_block(self, block, bubble, monkeypatch):
         family = bubble(3, 3)
-        whole = order_relations(family.words)
-        assert np.array_equal(whole[0], family.relation)
+        whole = [order_relation(family.words, _shuffle=shuffle) for shuffle in (False, True)]
         monkeypatch.setattr(bubble_module, "_ROW_BLOCK", block)
-        for blocked, matrix in zip(order_relations(family.words), whole):
-            assert np.array_equal(blocked, matrix)
-        # each private switch leaves its own matrix out and the other as it is
-        bub, none = order_relations(family.words, _shuffle=False)
-        assert none is None and np.array_equal(bub, whole[0])
-        none, shuf = order_relations(family.words, _bubble=False)
-        assert none is None and np.array_equal(shuf, whole[1])
+        for shuffle, matrix in zip((False, True), whole):
+            assert np.array_equal(order_relation(family.words, _shuffle=shuffle), matrix)
 
     @given(random_word_pair(max_m=12, max_n=12))
     @example((w("x1.y2.x7.y7", 7, 7), w("y1.x7", 7, 7)))  # the widest uint8 masks
@@ -322,7 +316,7 @@ class TestKernelAgainstOracle:
     @example((w("x1.y1.x8.y8", 8, 8), w("y1.y8.x8", 8, 8)))
     def test_relation_matrices_large_alphabets(self, pair):
         words = [*pair, join(*pair), meet(*pair)]
-        bub, shuf = order_relations(words)
+        bub, shuf = order_relation(words), order_relation(words, _shuffle=True)
         for i, u in enumerate(words):
             assert bub[i].tolist() == [leq_bubble(u, v) for v in words]
             assert shuf[i].tolist() == [leq_shuffle(u, v) for v in words]

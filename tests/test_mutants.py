@@ -22,11 +22,12 @@ from conftest import oracle_verify_cu_labeling, replace_everywhere, upper_covers
 def relation_without_rows(original):
     """The bubble relation reduced to its two support containments."""
 
-    def mutant(ws, **switches):
-        _, shuffle = original(ws, **switches)
+    def mutant(ws, _shuffle=False):
+        if _shuffle:
+            return original(ws, _shuffle=True)
         xs = np.array([w.code[0] for w in ws])
         ys = np.array([w.code[1] for w in ws])
-        return ((xs & ~xs[:, None]) == 0) & ((ys[:, None] & ~ys) == 0), shuffle
+        return ((xs & ~xs[:, None]) == 0) & ((ys[:, None] & ~ys) == 0)
 
     return mutant
 
@@ -151,7 +152,7 @@ def pairs_without_the_last(original):
 
 MUTANTS = {
     "relation_drops_rows": (
-        lambda: bubble.order_relations,
+        lambda: bubble.order_relation,
         relation_without_rows,
         {
             "order.axioms",
@@ -295,21 +296,20 @@ def check_detail(argv, check_id, capsys):
 
 
 def test_move_closure_witness(monkeypatch, capsys):
-    original = bubble.order_relations
+    original = bubble.order_relation
     replace_everywhere(monkeypatch, original, relation_without_rows(original))
     detail = check_detail(["check", "2", "2", "--suite", "order"], "order.move_closure", capsys)
     family = build_bubble_lattice(2, 2)
     u, v = (words.parse_word(t, 2, 2) for t in detail["witness"])
-    mutated = bubble.order_relations(family.words)[0]
+    mutated = bubble.order_relation(family.words)
     assert mutated[family.index(u), family.index(v)] != bubble.leq_bubble(u, v)
 
 
 def test_shuffle_suborder_witness(monkeypatch, capsys):
-    original = bubble.order_relations
+    original = bubble.order_relation
 
-    def everything_shuffle_below(ws, **switches):
-        bub, _ = original(ws, **switches)
-        return bub, np.ones((len(ws), len(ws)), dtype=bool)
+    def everything_shuffle_below(ws, _shuffle=False):
+        return np.ones((len(ws), len(ws)), dtype=bool) if _shuffle else original(ws)
 
     replace_everywhere(monkeypatch, original, everything_shuffle_below)
     detail = check_detail(["check", "2", "2", "--suite", "order"], "order.shuffle_suborder", capsys)
@@ -364,11 +364,11 @@ def test_yfill_witness_is_the_first_broken_law(fault, block, monkeypatch):
 
 
 def test_order_axioms_witness(monkeypatch, capsys):
-    original = bubble.order_relations
+    original = bubble.order_relation
     replace_everywhere(monkeypatch, original, relation_without_rows(original))
     detail = check_detail(["check", "2", "2", "--suite", "order"], "order.axioms", capsys)
     ws = build_bubble_lattice(2, 2).words
-    rel = bubble.order_relations(ws)[0]
+    rel = bubble.order_relation(ws)
     # the first pair, row-major, that is not reflexive or not antisymmetric
     first = next(
         [str(ws[a]), str(ws[b])]
@@ -380,16 +380,17 @@ def test_order_axioms_witness(monkeypatch, capsys):
 
 
 def test_order_axioms_transitivity_witness(monkeypatch, capsys):
-    original = bubble.order_relations
+    original = bubble.order_relation
 
-    def covers_only(ws, **switches):
+    def covers_only(ws, _shuffle=False):
         # the cover relation with its diagonal: reflexive and antisymmetric,
         # not transitive once a chain has two covers
-        _, shuffle = original(ws, **switches)
+        if _shuffle:
+            return original(ws, _shuffle=True)
         src, dst, *_ = bubble._cover_steps(ws)
         rel = np.eye(len(ws), dtype=bool)
         rel[src, dst] = True
-        return rel, shuffle
+        return rel
 
     replace_everywhere(monkeypatch, original, covers_only)
     detail = check_detail(["check", "2", "1", "--suite", "order"], "order.axioms", capsys)
@@ -478,11 +479,11 @@ def test_covers_match_reduction_witness(monkeypatch, capsys):
 def test_order_witnesses_do_not_depend_on_the_row_block(block, monkeypatch, capsys):
     """Every order check fails, and names the same witness whether its
     matrices are compared in one block or a row or two at a time."""
-    original = bubble.order_relations
+    original = bubble.order_relation
     supports_only = relation_without_rows(original)
 
-    def everything_shuffle_below(ws, **switches):
-        return supports_only(ws, **switches)[0], np.ones((len(ws), len(ws)), dtype=bool)
+    def everything_shuffle_below(ws, _shuffle=False):
+        return np.ones((len(ws), len(ws)), dtype=bool) if _shuffle else supports_only(ws)
 
     replace_everywhere(monkeypatch, original, everything_shuffle_below)
     assert main(["check", "2", "2", "--suite", "order"]) == 1
