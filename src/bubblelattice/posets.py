@@ -1,9 +1,11 @@
 """Finite posets and lattice analytics on top of bitset reachability.
 
 Elements are 0..n-1.  Reachability is cached as one big-int bitmask per
-element, so order tests are single AND/shift operations.  Distributivity
-runs over numpy join/meet tables, left modularity tests the covers, the
-jsd label reads the down-sets and semidistributivity is read off kappa.
+element, so order tests are single AND/shift operations.  The up-sets are
+the one stored form of the order: a bool view is unpacked where rows are
+compared, never kept.  Distributivity runs over numpy join/meet tables,
+left modularity tests the covers, the jsd label reads the down-sets and
+semidistributivity is read off kappa.
 The tables come from one recursion over covers; only the join walk carries
 a certificate, which makes it the one proof that P is a lattice, since a
 finite join-semilattice with a least element is one.
@@ -15,7 +17,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -153,13 +155,7 @@ class FinitePoset:
         """Induced subposet; element k of the result is elements[k]."""
         if len(set(elements)) != len(elements):
             raise ValueError("duplicate elements")
-        return FinitePoset.from_matrix(self.leq_matrix[np.ix_(elements, elements)])
-
-    @cached_property
-    def leq_matrix(self) -> np.ndarray:
-        matrix = _matrix(self.up)
-        matrix.flags.writeable = False
-        return matrix
+        return FinitePoset.from_matrix(_matrix([self.up[e] for e in elements], self.n)[:, elements])
 
     # -- constructors ------------------------------------------------------
 
@@ -519,12 +515,13 @@ def doubling(P: FinitePoset, subset: Iterable[int]) -> FinitePoset:
     subset at level 1 together with (complement of that down-set) union the
     subset at level 2.
     """
+    leq = _matrix(P.up)
     sub = np.zeros(P.n, dtype=bool)
     sub[list(subset)] = True
-    below = P.leq_matrix[:, sub].any(axis=1)
+    below = leq[:, sub].any(axis=1)
     ground = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below | sub)])
     upper = np.arange(len(ground)) >= below.sum()  # the points at level 2
-    return FinitePoset.from_matrix(P.leq_matrix[np.ix_(ground, ground)] & (upper[:, None] <= upper))
+    return FinitePoset.from_matrix(leq[np.ix_(ground, ground)] & (upper[:, None] <= upper))
 
 
 # -- crowns -------------------------------------------------------------------

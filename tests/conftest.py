@@ -98,12 +98,15 @@ def shuffle():
 
 
 def replace_everywhere(monkeypatch, original, replacement) -> None:
-    """Monkeypatch ``original`` in every bubblelattice namespace holding it."""
+    """Monkeypatch ``original`` in every bubblelattice namespace holding it,
+    the classes that each module holds included."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "bubblelattice":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
+            owners = [module] + [value for value in vars(module).values() if isinstance(value, type)]
+            for owner in owners:
+                for attr, value in list(vars(owner).items()):
+                    if value is original:
+                        monkeypatch.setattr(owner, attr, replacement)
 
 
 def splits(total_max: int):
@@ -360,7 +363,7 @@ def oracle_left_modular_test(P: FinitePoset):
     for every r < q, on the oracle tables and two full N x N gathers per
     element: the test that the one on covers in ``posets`` replaced."""
     join, meet = oracle_lattice_tables(P)
-    not_lt = ~P.leq_matrix | np.eye(P.n, dtype=bool)
+    not_lt = ~mask_matrix(list(P.up)) | np.eye(P.n, dtype=bool)
 
     def test(p: int) -> bool:
         lhs = meet.take(join[:, p], axis=0)  # (r ∨ p) ∧ q

@@ -150,6 +150,15 @@ def pairs_without_the_last(original):
     return mutant
 
 
+def subposet_without_comparisons(original):
+    """The induced subposet with every strict comparison dropped: an antichain."""
+
+    def mutant(self, elements):
+        return posets.FinitePoset(len(elements), [])
+
+    return mutant
+
+
 MUTANTS = {
     "relation_drops_rows": (
         lambda: bubble.order_relation,
@@ -215,6 +224,11 @@ MUTANTS = {
         lambda: galois.max_orthogonal_pairs,
         pairs_without_the_last,
         {"galois.graphs_coincide"},
+    ),
+    "subposet_drops_comparisons": (
+        lambda: posets.FinitePoset.subposet,
+        subposet_without_comparisons,
+        {"lattice.irreducibles_poset"},
     ),
 }
 # the hochschild suite skips every n != 1; keeping the letters stays in the

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from bubblelattice import posets
+from bubblelattice import checks, posets
 from bubblelattice.bubble import build_bubble_lattice, extremal_chain_words
 from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive
 from bubblelattice.hochschild import hochschild_lattice
@@ -410,6 +410,21 @@ def test_chain_test_needs_no_square_temporaries(bubble):
     assert peak <= 64 * len(P.edges())
 
 
+def test_irreducibles_check_unpacks_only_their_rows(bubble):
+    # the up-set rows of the 24 join-irreducibles at (4,4), 24 x 1,921
+    # bools, where an N x N bool matrix of the order is N^2 bytes
+    P = bubble(4, 4).poset
+    fresh = FinitePoset(P.n, P.edges())
+    lattice_tables(fresh)
+    tracemalloc.start()
+    try:
+        result = checks.check_irreducibles_poset(types.SimpleNamespace(poset=fresh, m=4, n=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok and peak < fresh.n**2 / 8
+
+
 def left_modular_flags(P):
     """The left-modularity test of every element, on the covers."""
     return list(map(posets._left_modular_test(P), range(P.n)))
@@ -597,8 +612,7 @@ class TestEngineAgainstNaiveDefinitions:
         for i in range(n):
             for j in range(n):
                 assert P.leq(i, j) == naive_leq(i, j)
-                assert P.leq_matrix[i, j] == P.leq(i, j)
-        assert not P.leq_matrix.flags.writeable and P.leq_matrix is P.leq_matrix
+        assert (posets._matrix(P.up) == mask_matrix(list(P.up))).all()
 
     @given(random_poset())
     def test_tables_when_lattice(self, data):
@@ -690,7 +704,7 @@ class TestFromMatrix:
 
     @given(st.one_of(random_poset().map(lambda data: data[0]), relabelled_bounded_poset(), closure_lattices()))
     def test_covers_match_the_bit_walk(self, P):
-        Q = FinitePoset.from_matrix(P.leq_matrix)
+        Q = FinitePoset.from_matrix(mask_matrix(list(P.up)))
         assert Q.edges() == sorted(oracle_reduction(list(P.up))) == P.edges()
         assert Q.up == P.up and Q.topo == P.topo
 
@@ -702,7 +716,7 @@ class TestFromMatrix:
         pairs = [(i, j) for i in range(P.n) for j in range(P.n) if P.leq(i, j) and i != j and j not in P.up_adj[i]]
         assume(pairs)
         i, j = data.draw(st.sampled_from(pairs))
-        leq = P.leq_matrix.copy()
+        leq = mask_matrix(list(P.up))
         leq[i, j] = False
         with pytest.raises(ValueError, match="^relation is not transitive$"):
             FinitePoset.from_matrix(leq)
@@ -870,7 +884,7 @@ class TestCoverRecursionAgainstOracles:
     def test_polygon_search_keeps_only_its_polygons(self, bubble):
         # the polygons share the ints of one object array and are built a
         # block at a time; the walk-based search held 3.55 MiB and peaked at
-        # 3.56 MiB at (4,4).  No N x N array: leq_matrix stays unbuilt
+        # 3.56 MiB at (4,4).  No N x N array
         P = bubble(4, 4).poset
         fresh = FinitePoset(P.n, P.edges())
         lattice_tables(fresh)
@@ -882,7 +896,6 @@ class TestCoverRecursionAgainstOracles:
             tracemalloc.stop()
         assert len(polygons) == 12_854
         assert kept <= 3.55 * 2**20 and peak <= 4.1 * 2**20
-        assert "leq_matrix" not in fresh.__dict__
 
     def test_tables_are_uint16(self, bubble):
         join, meet = lattice_tables(bubble(2, 2).poset)
