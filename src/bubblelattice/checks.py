@@ -17,12 +17,12 @@ import numpy as np
 from . import posets
 from .bubble import (
     LatticeFamily,
-    build_bubble_lattice,
+    _cover_steps,
     extremal_chain_words,
     filling_tables,
     order_relation,
 )
-from .errors import BubbleLatticeError, KappaMissing
+from .errors import KappaMissing
 from .galois import (
     bubble_galois_explicit,
     galois_graph,
@@ -38,7 +38,7 @@ from .labeling import (
     verify_cu_labeling,
 )
 from .posets import _ROW_BLOCK, FinitePoset, _bits, _masks, _matrix, _packed, _reach
-from .words import Letter, ShuffleWord, dualize, y_fill
+from .words import Letter, dualize, y_fill
 
 @dataclass
 class CheckResult:
@@ -98,32 +98,30 @@ def _move_closure(family: LatticeFamily) -> list[int]:
     """Reachability of the elementary moves, as bitmasks per word.
 
     Independent of both the order characterization and the cover rules: one
-    step deletes any x, inserts any missing y at every admissible position,
-    or swaps one adjacent x-y pair.  Every move goes up, so the moves form
-    an acyclic graph, closed reflexively and transitively by one pass in
+    step deletes any x, swaps one adjacent x-y pair, or inserts a missing y_j
+    at each admissible slot, after every present y below j and before every
+    present y above it.  Each move is looked up by its letters, so a move out
+    of the family raises KeyError.  Every move goes up, so the moves form an
+    acyclic graph, closed reflexively and transitively by one pass in
     topological order.
     """
-    index = family._index
+    index = {w.letters: i for i, w in enumerate(family.words)}
     step: list[set[int]] = [set() for _ in family.words]
     for i, w in enumerate(family.words):
         seq = w.letters
         for pos, letter in enumerate(seq):
             if letter.is_x:
-                step[i].add(index[ShuffleWord(seq[:pos] + seq[pos + 1:], w.m, w.n)])
+                step[i].add(index[seq[:pos] + seq[pos + 1:]])
                 if pos + 1 < len(seq) and not seq[pos + 1].is_x:
-                    swapped = seq[:pos] + (seq[pos + 1], letter) + seq[pos + 2:]
-                    step[i].add(index[ShuffleWord(swapped, w.m, w.n)])
-        present = set(w.ysupport)
+                    step[i].add(index[seq[:pos] + (seq[pos + 1], letter) + seq[pos + 2:]])
+        ys = [(pos, letter.index) for pos, letter in enumerate(seq) if not letter.is_x]
         for j in range(1, w.n + 1):
-            if j in present:
+            if j in w.ysupport:
                 continue
-            for pos in range(len(seq) + 1):
-                candidate = seq[:pos] + (Letter.y(j),) + seq[pos:]
-                try:
-                    bigger = ShuffleWord(candidate, w.m, w.n)
-                except BubbleLatticeError:
-                    continue
-                step[i].add(index[bigger])
+            lo = max((pos + 1 for pos, t in ys if t < j), default=0)
+            hi = min((pos for pos, t in ys if t > j), default=len(seq))
+            for pos in range(lo, hi + 1):
+                step[i].add(index[seq[:pos] + (Letter.y(j),) + seq[pos:]])
     return _reach(len(step), step)[1]
 
 
@@ -132,26 +130,28 @@ def _move_closure(family: LatticeFamily) -> list[int]:
 
 def check_order_axioms(family: LatticeFamily) -> CheckResult:
     """Reflexivity, antisymmetry and transitivity of the bubble comparison.
-    The witness is the first pair (u, u) with u not below itself or (u, v)
-    with u <= v <= u, else the first triple (u, v, w) with u <= v <= w but
-    not u <= w.  A relation equal to the closure of the covers is transitive,
-    so the triples are walked only when the two differ."""
+    The closure of the covers is an order, as ``FinitePoset`` refuses a
+    cycle, so a relation equal to it passes all three.  Only when the two
+    differ are the up-sets of the relation walked: the witness is the first
+    pair (u, u) with u not below itself or (u, v) with u <= v <= u, else the
+    first triple (u, v, w) with u <= v <= w but not u <= w."""
     rel, P = family.relation, family.poset
     words = family.words
-
-    def bad(rows):
-        both = rel[rows] & rel[:, rows].T  # off the diagonal: u <= v <= u with u != v
-        np.fill_diagonal(both[:, rows.start :], ~rel.diagonal()[rows])  # on it: u not <= u
-        return both
-
-    detail = _first_witness(words, bad)
-    if not detail and _first_witness(words, lambda rows: _matrix(P.up[rows], P.n) != rel[rows]):
-        ups = _masks(rel)
-        hit = next(((i, j) for i, up in enumerate(ups) for j in _bits(up) if ups[j] & ~up), None)
-        if hit:
-            i, j = hit
-            w = next(_bits(ups[j] & ~ups[i]))
-            detail = {"witness": [str(words[i]), str(words[j]), str(words[w])]}
+    detail = _first_witness(words, lambda rows: _matrix(P.up[rows], P.n) != rel[rows])
+    if detail:
+        ups, detail = _masks(rel), {}
+        for i, up in enumerate(ups):
+            # bit i if u_i is not below itself, bit j != i if u_i <= u_j <= u_i
+            bad = (1 << i & ~up) | sum(1 << j for j in _bits(up & ~(1 << i)) if ups[j] >> i & 1)
+            if bad:
+                detail = _pair(words, [(i, next(_bits(bad)))])
+                break
+        else:
+            hit = next(((i, j) for i, up in enumerate(ups) for j in _bits(up) if ups[j] & ~up), None)
+            if hit:
+                i, j = hit
+                w = next(_bits(ups[j] & ~ups[i]))
+                detail = {"witness": [str(words[i]), str(words[j]), str(words[w])]}
     return _result("order.axioms", not detail, detail)
 
 
@@ -299,23 +299,22 @@ def check_labeling_fibers(family: LatticeFamily) -> CheckResult:
 
 def check_duality(family: LatticeFamily) -> CheckResult:
     """``dualize`` is an anti-isomorphism onto the (n, m) family: a bijection
-    under which v covers u iff dualize(u) covers dualize(v).  The witness is
-    the first pair of words with one image, else the first pair (u, v) on
-    which the two cover relations disagree.  The (n, m) family has as many
-    words as this one, which the run's cap already admitted."""
-    if family.m == family.n:
-        co = family
-    else:
-        co = build_bubble_lattice(family.n, family.m, cap=len(family.words))
+    under which v covers u iff dualize(u) covers dualize(v).  Each image is
+    a validated (n, m) word, and N distinct images are the whole (n, m)
+    family, which has as many words as this one.  Their covers come from the
+    cover rules, in this family's ids; a cover that is not an image raises
+    ValueError, a failure entry.  The witness is the first pair of words
+    with one image, else the first pair (u, v) on which the two cover
+    relations disagree."""
     words = family.words
-    preimage: dict[int, int] = {}
-    for i, w in enumerate(words):
-        image = co.index(dualize(w))
+    images = [dualize(w) for w in words]
+    preimage: dict = {}
+    for i, image in enumerate(images):
         if image in preimage:
             return _result("duality.anti_isomorphism", False, _pair(words, [(preimage[image], i)]))
         preimage[image] = i
-    # a word of co with no preimage raises KeyError: a failure entry
-    pulled = {(preimage[d], preimage[c]) for c, d in co.poset.edges()}
+    src, dst, *_ = _cover_steps(images)
+    pulled = set(zip(dst.tolist(), src.tolist()))
     differ = sorted(pulled ^ set(family.poset.edges()))
     return _result("duality.anti_isomorphism", not differ, _pair(words, differ))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import NotExtremal
-from .labeling import BubbleLabel
+from .labeling import BubbleLabel, bubble_labels
 from .posets import (
     FinitePoset,
     is_extremal,
@@ -166,15 +166,6 @@ def bubble_galois_explicit(m: int, n: int) -> GaloisGraph:
     orientation of the chain-ordered construction: x-vertices have no
     incoming arcs and y-vertices no outgoing ones.
     """
-    vertices: list[BubbleLabel] = (
-        [BubbleLabel.xlab(s) for s in range(1, m + 1)]
-        + [BubbleLabel.ylab(t) for t in range(1, n + 1)]
-        + [
-            BubbleLabel.pairlab(s, t)
-            for s in range(1, m + 1)
-            for t in range(1, n + 1)
-        ]
-    )
     arcs = set()
     for s in range(1, m + 1):
         for t in range(1, n + 1):
@@ -188,7 +179,7 @@ def bubble_galois_explicit(m: int, n: int) -> GaloisGraph:
                         arcs.add(
                             (BubbleLabel.pairlab(s, t), BubbleLabel.pairlab(s2, t2))
                         )
-    return GaloisGraph(tuple(vertices), frozenset(arcs))
+    return GaloisGraph(bubble_labels(m, n), frozenset(arcs))
 
 
 def max_orthogonal_pairs(G: GaloisGraph) -> tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]:

@@ -127,16 +127,17 @@ def label_leq(a: BubbleLabel, b: BubbleLabel) -> bool:
     return a.s >= b.s and a.t >= b.t
 
 
-def build_label_poset(m: int, n: int) -> LabelPoset:
-    labels = (
+def bubble_labels(m: int, n: int) -> tuple[BubbleLabel, ...]:
+    """Every label value: the x's, the y's, then the pairs, s outer and t inner."""
+    return (
         tuple(BubbleLabel.xlab(s) for s in range(1, m + 1))
         + tuple(BubbleLabel.ylab(t) for t in range(1, n + 1))
-        + tuple(
-            BubbleLabel.pairlab(s, t)
-            for s in range(1, m + 1)
-            for t in range(1, n + 1)
-        )
+        + tuple(BubbleLabel.pairlab(s, t) for s in range(1, m + 1) for t in range(1, n + 1))
     )
+
+
+def build_label_poset(m: int, n: int) -> LabelPoset:
+    labels = bubble_labels(m, n)
     poset = FinitePoset.from_leq(
         len(labels), lambda i, j: label_leq(labels[i], labels[j])
     )
@@ -243,12 +244,8 @@ def verify_cu_labeling(
 
 
 def check_cu_equals_jsd(P: FinitePoset, labels: Mapping[Edge, object]) -> bool:
-    """Do the labeling's edge fibers coincide with those of the join-meet label?"""
-    fibers: dict[object, set[Edge]] = {}
-    jsd_fibers: dict[int, set[Edge]] = {}
-    for edge in P.edges():
-        fibers.setdefault(labels[edge], set()).add(edge)
-        jsd_fibers.setdefault(lambda_jsd(P, edge), set()).add(edge)
-    partition = {frozenset(v) for v in fibers.values()}
-    jsd_partition = {frozenset(v) for v in jsd_fibers.values()}
-    return partition == jsd_partition
+    """Do the labeling's edge fibers coincide with those of the join-meet label?
+    They do iff the pairs (label, λ_jsd) of the edges match the label values
+    and the λ_jsd values one to one."""
+    pairs = {(labels[edge], lambda_jsd(P, edge)) for edge in P.edges()}
+    return len(pairs) == len({label for label, _ in pairs}) == len({jsd for _, jsd in pairs})

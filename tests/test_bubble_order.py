@@ -104,6 +104,20 @@ class TestBubbleOrder:
 
         assert _move_closure(bubble(m, n)) == closure_matrix(bubble(m, n))
 
+    def test_move_closure_constructs_no_word(self, bubble, monkeypatch):
+        """The moves are looked up by their letters; no trial word is built."""
+        family = bubble(3, 3)
+        built = []
+        original = ShuffleWord.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(ShuffleWord, "__post_init__", counted)
+        assert checks.check_move_closure(family).status == "pass"
+        assert built == []
+
     @pytest.mark.parametrize("m,n", splits(6))
     def test_partial_order_axioms(self, m, n, bubble):
         from bubblelattice.checks import check_order_axioms

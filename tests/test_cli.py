@@ -112,7 +112,8 @@ class TestCheck:
         cu = next(c for c in report["checks"] if c["id"] == "labeling.cu_conditions")
         assert set(cu["detail"]) == {"polygons"}
 
-    def test_cap_reaches_the_dual_family(self, tmp_path, monkeypatch, capsys):
+    def test_cap_admits_a_family_above_the_default(self, tmp_path, monkeypatch, capsys):
+        # (2,2) has 33 words, above the default cap of 20 set here
         monkeypatch.setattr(bubble, "DEFAULT_CAP", 20)
         code, out, _ = run(
             ["check", "2", "2", "--cap", "100", "--suite", "order,duality"],
@@ -125,16 +126,6 @@ class TestCheck:
         assert report["suites"] == ["order", "duality"]
         ids = {c["id"] for c in report["checks"]}
         assert {"order.axioms", "duality.anti_isomorphism"} <= ids
-
-    def test_dual_family_is_admitted_by_the_runs_cap(self, tmp_path, monkeypatch, capsys):
-        # (2,3) has as many words as (3,2), which --cap admitted
-        size = len(build_bubble_lattice(3, 2).words)
-        monkeypatch.setattr(bubble, "DEFAULT_CAP", size - 1)
-        code, out, _ = run(
-            ["check", "3", "2", "--cap", str(size), "--suite", "duality"], tmp_path, monkeypatch, capsys
-        )
-        assert code == 0
-        assert json.loads(out)["checks"] == [{"id": "duality.anti_isomorphism", "status": "pass", "detail": {}}]
 
     def test_refuses_6_5_before_building(self, tmp_path, monkeypatch, capsys):
         def forbidden(m, n):
@@ -237,7 +228,7 @@ class TestCheck:
         assert code == 2 and out == "" and "error" in err
 
     @pytest.mark.parametrize(
-        "m,n,expected", [(3, 3, {(3, 3): 1}), (2, 1, {(2, 1): 1, (1, 2): 1})]
+        "m,n,expected", [(3, 3, {(3, 3): 1}), (2, 1, {(2, 1): 1})]
     )
     def test_one_build_per_family(self, m, n, expected, tmp_path, monkeypatch, capsys):
         builds = {}
@@ -377,6 +368,24 @@ class TestGaloisCommand:
         assert summary["k"] == 5 and summary["orthogonal_pairs"] == summary["elements"] == 12
         assert (tmp_path / "galois_2_1.dot").exists()
         assert (tmp_path / "galois_2_1.json").exists()
+
+
+def test_export_figures_matches_the_golden_exports(tmp_path):
+    script = ROOT / "scripts" / "export_figures.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True, capture_output=True)
+    golden = ROOT / "tests" / "golden"
+    expected = {
+        "bubble_2_1.csv": golden / "generate_2_1",
+        "shuffle_2_1.dot": golden / "generate_2_1",
+        "bubble_2_2.dot": golden / "generate_2_2",
+        "bubble_2_1_labeled.dot": golden / "label_2_1",
+        "galois_2_1.dot": golden / "galois_2_1",
+        "galois_2_2.dot": golden / "galois_2_2",
+    }
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*expected, "triwords_3.csv"])
+    for name, case in expected.items():
+        assert (tmp_path / name).read_bytes() == (case / name).read_bytes(), name
+    assert (tmp_path / "triwords_3.csv").read_text() == sigma_table_csv(build_bubble_lattice(2, 1))
 
 
 class TestOutdir:

@@ -303,6 +303,22 @@ class TestFiberEquivalence:
         family = bubble(m, n)
         assert check_cu_equals_jsd(family.poset, edge_labels(family))
 
+    def test_coarser_labeling_is_refused(self, bubble):
+        family = bubble(2, 1)
+        labels = edge_labels(family)
+        merged = BubbleLabel.xlab(1), BubbleLabel.xlab(2)
+        assert set(merged) <= set(labels.values())
+        coarser = {e: merged[0] if lab in merged else lab for e, lab in labels.items()}
+        assert not check_cu_equals_jsd(family.poset, coarser)
+
+    def test_finer_labeling_is_refused(self, bubble):
+        family = bubble(2, 1)
+        labels = edge_labels(family)
+        first = next(iter(labels))  # one edge of its label's fiber gets a label of its own
+        assert sum(lab == labels[first] for lab in labels.values()) > 1
+        finer = {**labels, first: "split"}
+        assert not check_cu_equals_jsd(family.poset, finer)
+
     def test_chain_lattice_both_injective(self):
         P = FinitePoset(4, [(0, 1), (1, 2), (2, 3)])
         labels = {e: i for i, e in enumerate(P.edges())}

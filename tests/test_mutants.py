@@ -150,6 +150,18 @@ def pairs_without_the_last(original):
     return mutant
 
 
+def jsd_greatest_candidate(original):
+    """λ_jsd as the candidate of greatest height, not the least one."""
+
+    def mutant(P, edge):
+        original(P, edge)  # refuses what the original refuses
+        p, q = edge
+        candidates = [j for j in posets.join_irreducibles(P) if P.leq(j, q) and not P.leq(j, p)]
+        return max(candidates, key=P.height_below.__getitem__)
+
+    return mutant
+
+
 def subposet_without_comparisons(original):
     """The induced subposet with every strict comparison dropped: an antichain."""
 
@@ -224,6 +236,11 @@ MUTANTS = {
         lambda: galois.max_orthogonal_pairs,
         pairs_without_the_last,
         {"galois.graphs_coincide"},
+    ),
+    "jsd_greatest_candidate": (
+        lambda: posets.lambda_jsd,
+        jsd_greatest_candidate,
+        {"labeling.fibers_match_jsd"},
     ),
     "subposet_drops_comparisons": (
         lambda: posets.FinitePoset.subposet,
