@@ -69,27 +69,43 @@ def order_relation(words: Sequence[ShuffleWord], _shuffle: bool = False):
 
     Entry [i, j] is ``leq_bubble(words[i], words[j])`` (resp.
     ``leq_shuffle``), from ``ShuffleWord.code`` in the narrowest unsigned
-    dtype that holds every letter's bit, in blocks of about ``_ROW_BLOCK``
-    entries, so that no temporary is near N x N.  A family keeps only the
-    bubble relation; the shuffle matrix is built where it is read.
+    dtype that holds every letter's bit, in row blocks of about a quarter
+    of ``_ROW_BLOCK`` entries.  Each block ORs the bits that break the
+    order into one buffer, 0 iff u <= v: an x of v missing from u, a y of
+    u missing from v, and per y_t of u an inversion kept by v's x's but not
+    in v's row (resp. any difference of the two rows on v's x's).  That
+    buffer and one that holds each term in turn are allocated once per call
+    and every step writes into them, so no temporary is near N x N.  A family keeps
+    only the bubble relation; the shuffle matrix is built where it is read.
     """
     count = len(words)
     dtype = np.min_scalar_type(1 << max((max(w.m, w.n) for w in words), default=0))
     xs, ys, rows, _ = _codes(words, dtype)
     rows = np.ascontiguousarray(rows.T)  # rows[t] holds row t of every word
+    not_xs, not_ys = ~xs, ~ys
+    if _shuffle:  # has[t] is all ones where u has y_t: only those rows must agree
+        has = (0 - (ys >> np.arange(len(rows))[:, None] & 1)).astype(dtype)
+    else:
+        not_rows = ~rows
     relation = np.empty((count, count), dtype=bool)
-    step = max(1, _ROW_BLOCK // max(count, 1))
+    step = max(1, _ROW_BLOCK // 4 // max(count, 1))
+    broken, kept = np.empty((2, min(step, count), count), dtype)
     for lo in range(0, count, step):
         block = slice(lo, lo + step)
-        x, y = xs[block, None], ys[block, None]
-        out = relation[block]
-        out[:] = ((xs & ~x) == 0) & ((y & ~ys) == 0)
+        size = min(step, count - lo)
+        bad, part = broken[:size], kept[:size]
+        np.bitwise_and(xs, not_xs[block, None], out=bad)
+        np.bitwise_and(ys[block, None], not_ys, out=part)
+        bad |= part
         for t in range(1, len(rows)):
-            kept = rows[t, block, None] & xs
+            np.bitwise_and(rows[t, block, None], xs, out=part)
             if _shuffle:
-                out &= (kept == rows[t]) | ((y >> t) & 1 == 0)
+                part ^= rows[t]
+                part &= has[t, block, None]
             else:
-                out &= (kept & ~rows[t]) == 0
+                part &= not_rows[t]
+            bad |= part
+        np.equal(bad, 0, out=relation[block])
     relation.flags.writeable = False
     return relation
 
@@ -189,15 +205,20 @@ _BLOCK_ENTRIES = 4096  # table entries per block of ``filling_tables``
 
 
 def filling_tables(words: Sequence[ShuffleWord]):
-    """Yield ``(lo, join_rows, meet_rows)``: rows lo.. of the join and meet
-    tables of ``words`` by the y-filling formula, read from ``ShuffleWord.code``.
+    """Yield ``(lo, join_rows, meet_rows)``: the pairs a <= b of rows lo..
+    of the join and meet tables of ``words`` by the y-filling formula, read
+    from ``ShuffleWord.code``, as the columns lo.. of those rows.
 
-    Entry [a - lo, b] is the index in ``words`` of ``join(words[a], words[b])``
-    (resp. ``meet``), or -1 where that word is not in ``words``.  Each word's
-    mover rows are filled by the slot rule (``_filled``); the union of
-    two filled words is packed into an int64 key and looked up among the keys
-    of ``words``.  The meet is the join with x and y exchanged, on ``cols``.
-    Blocks hold about ``_BLOCK_ENTRIES`` entries, so no N x N table is built.
+    Entry [a - lo, b - lo] is the index in ``words`` of ``join(words[a],
+    words[b])`` (resp. ``meet``), or -1 where that word is not in ``words``.
+    Both are commutative, so a pair b < a is read from the rows of b; a
+    block's entries with b < a are computed but carry no promise.  Each
+    word's mover rows are filled by the slot rule (``_filled``); the union
+    of two filled words is packed into an int64 key and looked up among the
+    keys of ``words``.  The meet is the join with x and y exchanged, on
+    ``cols``.  Each block takes as many rows as make about
+    ``_BLOCK_ENTRIES`` entries against its N - lo columns, so no N x N
+    table is built.
     """
     count = len(words)
     if not count:
@@ -209,18 +230,20 @@ def filling_tables(words: Sequence[ShuffleWord]):
         keys = _union_keys(fixed, movers, own, own, width)  # a word is its own union
         order = np.argsort(keys)
         sides.append((fixed, movers, _filled(own, movers), width, keys[order], order))
-    step = max(1, _BLOCK_ENTRIES // count)
-    for lo in range(0, count, step):
+    lo = 0
+    while lo < count:
+        step = max(1, _BLOCK_ENTRIES // (count - lo))  # more rows as the columns lo.. shrink
+        block, rest = slice(lo, lo + step), slice(lo, None)
         found = []
         for fixed, movers, filled, width, keys, order in sides:
-            block = slice(lo, lo + step)
             union = _union_keys(
-                fixed[block, None] & fixed, movers[block, None] | movers,
-                filled[block, None], filled, width,
+                fixed[block, None] & fixed[rest], movers[block, None] | movers[rest],
+                filled[block, None], filled[rest], width,
             )
             pos = np.searchsorted(keys, union).clip(max=count - 1)
             found.append(np.where(keys[pos] == union, order[pos], -1))
         yield lo, found[0], found[1]
+        lo += step
 
 
 def _union_keys(keep, present, first, second, width):

@@ -60,15 +60,15 @@ def error_result(check_id: str, exc: Exception) -> CheckResult:
     return CheckResult(check_id, "fail", {"error": type(exc).__name__, "message": str(exc)})
 
 
-def _witness(words, bad: np.ndarray, lo: int = 0) -> dict:
+def _witness(words, bad: np.ndarray, lo: int = 0, col: int = 0) -> dict:
     """``{"witness": [u, v]}`` for the first true entry of the pair matrix
     ``bad`` in row-major order, whose row a stands for word lo + a and
-    column b for word b; ``{}`` when there is none."""
+    column b for word col + b; ``{}`` when there is none."""
     hits = np.flatnonzero(bad)
     if not len(hits):
         return {}
     a, b = divmod(int(hits[0]), bad.shape[1])
-    return _pair(words, [(lo + a, b)])
+    return _pair(words, [(lo + a, col + b)])
 
 
 def _first_witness(words, bad) -> dict:
@@ -183,19 +183,20 @@ def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
 
 def check_unique_joins(family: LatticeFamily) -> CheckResult:
     """The lattice tables equal the filling formula, compared block by block
-    on the pairs a <= b; the first failing pair in row-major order is the
-    witness.  Only the join walk carries a certificate (NotALattice on two
-    minimal upper bounds): a finite join-semilattice with a bottom is a
-    lattice, so the meet table needs none of its own, and the formula is
-    compared with both tables entry by entry."""
+    on the pairs a <= b, which ``filling_tables`` yields as the columns lo..
+    of rows lo..; the first failing pair in row-major order is the witness.
+    Only the join walk carries a certificate (NotALattice on two minimal
+    upper bounds): a finite join-semilattice with a bottom is a lattice, so
+    the meet table needs none of its own, and the formula is compared with
+    both tables entry by entry."""
     join_table, meet_table = posets.lattice_tables(family.poset)
     words = family.words
     detail = {"failing_pairs": 0}
     for lo, joins, meets in filling_tables(words):
         rows = slice(lo, lo + len(joins))
-        bad = np.triu((joins != join_table[rows]).astype(np.int64) + (meets != meet_table[rows]), lo)
+        bad = np.triu((joins != join_table[rows, lo:]).astype(np.int64) + (meets != meet_table[rows, lo:]))
         if "witness" not in detail:
-            detail.update(_witness(words, bad, lo))
+            detail.update(_witness(words, bad, lo, lo))
         detail["failing_pairs"] += int(bad.sum())
     return _result("lattice.unique_joins", not detail["failing_pairs"], detail)
 
@@ -239,17 +240,31 @@ def check_semidistributive_trim(family: LatticeFamily) -> CheckResult:
 def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
     """Each of the 2^(m+n) support classes has C(a+b, a) words and, ordered
     by the code relation (inversion inclusion on equal supports), is a
-    distributive lattice."""
+    distributive lattice.  Classes with byte-equal relation matrices share
+    one verdict, computed once; every class's own matrix is still read.  A
+    matrix that is not an order fails its class.  The witness is the first
+    word, in family order, of the first failing class."""
     classes: dict[tuple[int, int], list[int]] = {}
     for i, w in enumerate(family.words):
         classes.setdefault(w.code[:2], []).append(i)
     rel = family.relation
-    ok = len(classes) == 2 ** (family.m + family.n)
+    verdicts: dict[bytes, bool] = {}
+    detail = {}
     for (xs, ys), ids in classes.items():
-        poset = FinitePoset.from_matrix(rel[np.ix_(ids, ids)])
-        ok &= len(ids) == math.comb(xs.bit_count() + ys.bit_count(), xs.bit_count())
-        ok &= posets.is_lattice(poset) and posets.is_distributive(poset)
-    return _result("lattice.same_support_distributive", ok)
+        sub = rel[np.ix_(ids, ids)]
+        key = sub.tobytes()  # k * k bytes: equal keys are equal k x k matrices
+        if key not in verdicts:
+            try:
+                poset = FinitePoset.from_matrix(sub)
+                verdicts[key] = posets.is_lattice(poset) and posets.is_distributive(poset)
+            except ValueError:
+                verdicts[key] = False
+        ok = verdicts[key] and len(ids) == math.comb(xs.bit_count() + ys.bit_count(), xs.bit_count())
+        if not ok:
+            detail = {"witness": [str(family.words[ids[0]])]}
+            break
+    ok = not detail and len(classes) == 2 ** (family.m + family.n)
+    return _result("lattice.same_support_distributive", ok, detail)
 
 
 def check_yfill_closure(family: LatticeFamily) -> CheckResult:

@@ -34,10 +34,14 @@ is the polygon-by-polygon CU loop on label objects that CU on codes
 replaced, and ``oracle_order_irreducibles`` and ``oracle_galois_graph_sd``
 test the ordering identities and the Galois arcs on the join and meet
 tables, where ``galois`` now tests covers and reads the up-sets alone.
+``oracle_same_support_detail`` is the same-support check class by class,
+by the definitions of an order, a lattice and distributivity on each
+class's own matrix, with no verdict shared between classes.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import reduce
 from itertools import combinations
@@ -658,6 +662,46 @@ def closure_matrix(family: LatticeFamily) -> list[int]:
                 reach[i] = acc
                 changed = True
     return reach
+
+
+def _is_distributive_lattice(leq) -> bool:
+    """The definitions on a small bool matrix: an order, every pair with a
+    least upper and a greatest lower bound, and x ∧ (q ∨ r) = (x ∧ q) ∨ (x ∧ r)."""
+    r = range(len(leq))
+    if not all(leq[i][i] for i in r):
+        return False
+    if any(leq[i][j] and leq[j][i] for i in r for j in r if i != j):
+        return False
+    if any(leq[i][j] and leq[j][k] and not leq[i][k] for i in r for j in r for k in r):
+        return False
+
+    def least(bounds, below):
+        found = [b for b in bounds if all(below(b, c) for c in bounds)]
+        return found[0] if found else None
+
+    pairs = [(i, j) for i in r for j in r]
+    join = {(i, j): least([k for k in r if leq[i][k] and leq[j][k]], lambda b, c: leq[b][c]) for i, j in pairs}
+    meet = {(i, j): least([k for k in r if leq[k][i] and leq[k][j]], lambda b, c: leq[c][b]) for i, j in pairs}
+    if None in join.values() or None in meet.values():
+        return False
+    return all(meet[x, join[q, s]] == join[meet[x, q], meet[x, s]] for x in r for q in r for s in r)
+
+
+def oracle_same_support_detail(family: LatticeFamily) -> dict:
+    """The detail of ``lattice.same_support_distributive``: the first word,
+    in family order, of the first support class whose size is not
+    C(|xs| + |ys|, |xs|) or which the code relation does not make a
+    distributive lattice; ``{}`` when there is none."""
+    classes: dict = {}
+    for i, u in enumerate(family.words):
+        classes.setdefault((u.xsupport, u.ysupport), []).append(i)
+    rel = family.relation
+    for (xsupp, ysupp), ids in classes.items():
+        size = len(xsupp) + len(ysupp)
+        leq = [[bool(rel[i, j]) for j in ids] for i in ids]
+        if len(ids) != math.comb(size, len(xsupp)) or not _is_distributive_lattice(leq):
+            return {"witness": [str(family.words[ids[0]])]}
+    return {}
 
 
 @st.composite

@@ -344,10 +344,24 @@ class TestKernelAgainstOracle:
 
 
 def table_rows(words):
-    """The join and meet tables of ``filling_tables``, its blocks stacked."""
+    """The join and meet tables of ``filling_tables``: each block, rows lo..
+    on columns lo.., placed in an N x N table whose pairs a <= b are then
+    mirrored onto the pairs b < a."""
     blocks = list(filling_tables(words))
-    assert [lo for lo, _, _ in blocks] == list(range(0, len(words), len(blocks[0][1])))
-    return np.vstack([j for _, j, _ in blocks]), np.vstack([mt for _, _, mt in blocks])
+    count = len(words)
+    ends = [lo + len(joins) for lo, joins, _ in blocks]
+    assert [lo for lo, _, _ in blocks] == [0] + ends[:-1] and ends[-1] == count  # the blocks tile the rows
+    tables = [np.zeros((count, count), dtype=np.int64) for _ in range(2)]
+    for lo, *rows in blocks:
+        for table, block in zip(tables, rows):
+            assert block.shape == (len(rows[0]), count - lo)
+            table[lo : lo + len(block), lo:] = block
+    return [np.triu(table) + np.triu(table, 1).T for table in tables]
+
+
+def assert_symmetric(table):
+    """Commutativity: the mirrored tables cover every pair only when it holds."""
+    assert table == [list(col) for col in zip(*table)]
 
 
 class TestFillingTables:
@@ -358,17 +372,17 @@ class TestFillingTables:
     def test_equal_word_level_join_meet(self, m, n, bubble):
         words = bubble(m, n).words
         joins, meets = table_rows(words)
-        assert [[words[i] for i in row] for row in joins.tolist()] == [
-            [join(u, v) for v in words] for u in words
-        ]
-        assert [[words[i] for i in row] for row in meets.tolist()] == [
-            [meet(u, v) for v in words] for u in words
-        ]
+        for op, table in ((join, joins), (meet, meets)):
+            expected = [[op(u, v) for v in words] for u in words]
+            assert_symmetric(expected)
+            assert [[words[i] for i in row] for row in table.tolist()] == expected
 
     @pytest.mark.parametrize("m,n", splits(7))
     def test_equal_lattice_tables(self, m, n, bubble):
         joins, meets = table_rows(bubble(m, n).words)
         join_table, meet_table = posets.lattice_tables(bubble(m, n).poset)
+        assert_symmetric(join_table.tolist())
+        assert_symmetric(meet_table.tolist())
         assert np.array_equal(joins, join_table) and np.array_equal(meets, meet_table)
 
     @given(random_word_pair(max_m=5, max_n=5))
@@ -561,6 +575,19 @@ class TestSameSupport:
         words, poset = same_support_class(xsupp, ysupp, s, t)
         assert len(words) == math.comb(s + t, s)
         assert posets.is_lattice(poset) and posets.is_distributive(poset)
+
+    def test_one_poset_per_distinct_class_matrix(self, monkeypatch):
+        # (3,3) has 64 support classes but 8 distinct class matrices
+        family = build_bubble_lattice(3, 3)
+        original, sizes = FinitePoset.from_matrix, []
+
+        def counting(leq):
+            sizes.append(len(leq))
+            return original(leq)
+
+        monkeypatch.setattr(FinitePoset, "from_matrix", staticmethod(counting))
+        assert checks.check_same_support_distributive(family).status == "pass"
+        assert len(sizes) == 8
 
     def test_matches_bubble_restriction(self, bubble):
         # the classes of lattice.same_support_distributive, words grouped by

@@ -16,7 +16,12 @@ from bubblelattice import bubble, checks, galois, hochschild, labeling, posets, 
 from bubblelattice.bubble import build_bubble_lattice
 from bubblelattice.cli import main
 
-from conftest import oracle_verify_cu_labeling, replace_everywhere, upper_covers
+from conftest import (
+    oracle_same_support_detail,
+    oracle_verify_cu_labeling,
+    replace_everywhere,
+    upper_covers,
+)
 
 
 def relation_without_rows(original):
@@ -28,6 +33,33 @@ def relation_without_rows(original):
         xs = np.array([w.code[0] for w in ws])
         ys = np.array([w.code[1] for w in ws])
         return ((xs & ~xs[:, None]) == 0) & ((ys[:, None] & ~ys) == 0)
+
+    return mutant
+
+
+def one_x_one_y_classes(ws):
+    """The ids of each support class with one x and one y, in family order:
+    two words, x_s y_t below y_t x_s, the same 2 x 2 matrix in every class."""
+    classes = {}
+    for i, w in enumerate(ws):
+        if len(w.xsupport) == len(w.ysupport) == 1:
+            classes.setdefault(w.code[:2], []).append(i)
+    return list(classes.values())
+
+
+def relation_without_one_class_comparison(original):
+    """The bubble relation without the strict comparison inside the last
+    support class with one x and one y, a class shaped like those before it."""
+
+    def mutant(ws, _shuffle=False):
+        relation = original(ws, _shuffle)
+        if _shuffle:
+            return relation
+        a, b = one_x_one_y_classes(ws)[-1]
+        relation = relation.copy()
+        relation[a, b] = relation[b, a] = False  # whichever of the two holds
+        relation.flags.writeable = False
+        return relation
 
     return mutant
 
@@ -182,6 +214,11 @@ MUTANTS = {
             "lattice.same_support_distributive",
         },
     ),
+    "relation_drops_one_class_comparison": (
+        lambda: bubble.order_relation,
+        relation_without_one_class_comparison,
+        {"lattice.same_support_distributive"},
+    ),
     "covers_drop_transpositions": (
         lambda: bubble._cover_steps,
         covers_without_transpositions,
@@ -273,7 +310,8 @@ def first_table_mismatch(family):
     for lo, joins, meets in bubble.filling_tables(ws):
         for a in range(lo, lo + len(joins)):
             for b in range(a, len(ws)):
-                bad = int(joins[a - lo, b] != join_table[a, b]) + int(meets[a - lo, b] != meet_table[a, b])
+                here = a - lo, b - lo
+                bad = int(joins[here] != join_table[a, b]) + int(meets[here] != meet_table[a, b])
                 if bad and first is None:
                     first = [str(ws[a]), str(ws[b])]
                 count += bad
@@ -291,18 +329,46 @@ def test_unique_joins_witness_is_the_first_failing_pair(monkeypatch, capsys):
     assert detail["failing_pairs"] == count > 0
 
 
+@pytest.mark.parametrize("make", [relation_without_rows, relation_without_one_class_comparison])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
+def test_same_support_witness_is_the_first_failing_class(make, m, n, monkeypatch, capsys):
+    original = bubble.order_relation
+    replace_everywhere(monkeypatch, original, make(original))
+    assert main(["check", str(m), str(n), "--suite", "lattice"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    detail = next(c["detail"] for c in checks if c["id"] == "lattice.same_support_distributive")
+    expected = oracle_same_support_detail(build_bubble_lattice(m, n))
+    assert detail == expected != {}
+
+
+def test_same_support_verdict_is_keyed_on_the_matrix(monkeypatch):
+    """The one dropped comparison lies in a class whose shape, one x and one
+    y, the classes before it share: a verdict shared by shape would pass it."""
+    ws = build_bubble_lattice(3, 3).words
+    target = one_x_one_y_classes(ws)
+    assert len(target) == 9
+    original = bubble.order_relation
+    replace_everywhere(monkeypatch, original, relation_without_one_class_comparison(original))
+    result = checks.check_same_support_distributive(build_bubble_lattice(3, 3))
+    assert result.status == "fail"
+    assert result.detail == {"witness": [str(ws[target[-1][0]])]}
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
 def test_word_level_join_fault_disagrees_with_the_tables(m, n):
     """The same fault in ``bubble.join`` is caught by the table route, against
-    which ``tests/test_bubble_order.py`` checks the word-level join."""
+    which ``tests/test_bubble_order.py`` checks the word-level join.  The
+    route yields the pairs a <= b; the faulty join is compared on both
+    orders of each, so every pair is read."""
     family = build_bubble_lattice(m, n)
     ws = family.words
     faulty = join_without_second_rows(bubble.join)
     differs = sum(
-        faulty(ws[a], ws[b]) != ws[joins[a - lo, b]]
+        faulty(ws[p], ws[q]) != ws[joins[a - lo, b - lo]]
         for lo, joins, _ in bubble.filling_tables(ws)
         for a in range(lo, lo + len(joins))
-        for b in range(len(ws))
+        for b in range(a, len(ws))
+        for p, q in ((a, b), (b, a))
     )
     assert differs > 0
 
