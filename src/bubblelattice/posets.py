@@ -6,9 +6,12 @@ the one stored form of the order: a bool view is unpacked where rows are
 compared, never kept.  Distributivity runs over numpy join/meet tables,
 left modularity tests the covers, the jsd label reads the down-sets and
 semidistributivity is read off kappa.
-The tables come from one recursion over covers; only the join walk carries
-a certificate, which makes it the one proof that P is a lattice, since a
-finite join-semilattice with a least element is one.
+The tables come from one recursion over covers, which builds the rows of
+one depth level together, a group of rows with the same number of covers
+at a time.  Only the join walk carries a certificate, which makes it, with
+a test for a least element, the one proof that P is a lattice, since a
+finite join-semilattice with a least element is one: that is the lattice
+gate, and a test that needs only the gate builds no meet table.
 """
 
 from __future__ import annotations
@@ -257,61 +260,128 @@ def _matrix(masks: Sequence[int], n: Optional[int] = None) -> np.ndarray:
 TABLE_DTYPE = np.dtype(np.uint16)
 TABLE_LIMIT = int(np.iinfo(TABLE_DTYPE).max) + 1
 
-# entries per block when a finished table's positions become ids, or per
-# distributivity gather, so that the only temporaries of those steps are
-# small blocks, not a second N x N (or N^3) array
+# entries per block when a finished table's positions become ids, per
+# gather of one step of the level walk, or per distributivity gather, so that
+# the only temporaries of those steps are small blocks, not a second N x N
+# (or N^3) array
 _ID_BLOCK = 1 << 16
 
 
+def _above_all(top: int, down: Sequence[int], bound: str) -> None:
+    """NotALattice unless the down-set of ``top`` is everything, naming
+    ``top`` and the least element missing from it; given up-sets, the test
+    for a least element, with ``bound`` "lower"."""
+    missing = ~down[top] & ((1 << len(down)) - 1)
+    if missing:
+        raise NotALattice(f"elements {top} and {(missing & -missing).bit_length() - 1} have no {bound} bound")
+
+
 def _bound_table(
-    topo: Sequence[int], covers, down: Sequence[int], bound: str, least: str, certify: bool = True
+    topo: Sequence[int],
+    covers,
+    levels: Sequence[int],
+    down: Sequence[int],
+    bound: str,
+    least: str,
+    certify: bool = True,
 ) -> np.ndarray:
     """The join table, each row built from the rows of the upper covers.
 
-    Rows are filled in reverse ``topo`` order.  Off the down-set of i, the
-    upper bounds of i and j are those of c v j over the covers c of i, so
-    i v j is the candidate w of least topological position, once w is shown
-    below every candidate: c v w = c v j for each c.  While the rows are
-    built their entries are ``topo`` positions, so the least candidate is a
-    plain min over the cover rows; the finished table is turned into
-    element ids in place.  Given the reversed order, lower covers and
-    up-sets, the same walk builds the meet table.
+    Off the down-set of i, the upper bounds of i and j are those of c v j
+    over the covers c of i, so i v j is the candidate w of least
+    topological position, once w is shown below every candidate:
+    c v w = c v j for each c.  While the rows are built their entries are
+    ``topo`` positions, so the least candidate is a plain min over the cover
+    rows; the finished table is turned into element ids in place.  Given the
+    reversed order, lower covers, ``height_below`` and up-sets, the same walk
+    builds the meet table.
 
-    With ``certify`` false the certificate is skipped, and the walk raises
-    only at an element without covers whose down-set (up-set, for the meet)
-    is not everything.  That is exact for the meet walk once the join walk
-    is certified, by the lemma that a finite join-semilattice with a least
+    The walk goes by depth level: ``levels`` is the length of a longest
+    path up to a maximal element (``depth_above``), and each cover of a row
+    lies on a level of smaller depth, so all rows of one level are built at
+    once.  A level's rows go in groups with the same number c of covers, and
+    a group in steps of about ``_ID_BLOCK`` gathered entries.  Each step
+    takes one gather of the (rows, c, N) cover rows, one min over the
+    covers, one unpacking of the rows' packed down-sets, one fill of each
+    row's own position where j <= i, and one gather of the chosen ids.  The
+    certificate then runs per row, on its contiguous (c, N) block of cover
+    rows: one gather and one comparison.  The filled entries need no mask,
+    as there c v i = c = c v j.
+
+    "No upper bound" is decided first, at ``topo[-1]``: it is maximal, so
+    once its down-set is everything it is the one element without covers.
+    A failed certificate is recorded and the walk goes on.  At its end,
+    NotALattice names the failing row of greatest position and its first
+    failing column: the pair that a walk one row at a time in reverse
+    ``topo`` order names, as that walk stops at this row.  Every row reads
+    only rows of greater position, so the rows above this one are built as
+    in that walk, and pass; this row reads the same rows as there, and fails
+    at the same column; and a row built from a failed row lies below it, at
+    a lesser position.
+
+    With ``certify`` false the certificate is skipped, so only "no bound"
+    can be raised.  That is exact for the meet walk once the join walk is
+    certified, by the lemma that a finite join-semilattice with a least
     element is a lattice; ``_tables`` gives the proof.
     """
     n = len(topo)
     if n > TABLE_LIMIT:
         raise ValueError(f"{n:,} elements are more than {TABLE_DTYPE} tables can index ({TABLE_LIMIT:,})")
-    order = np.array(topo, dtype=TABLE_DTYPE)
-    packed = _packed(down)
     table = np.empty((n, n), dtype=TABLE_DTYPE)
-    for k in range(n - 1, -1, -1):
-        i = topo[k]
-        row = table[i]
-        below = np.unpackbits(packed[i], count=n, bitorder="little").view(bool)
-        if not covers[i]:
-            if not below.all():
-                raise NotALattice(f"elements {i} and {int(np.argmin(below))} have no {bound} bound")
-            row[...] = k
-            continue
-        rows = table.take(covers[i], axis=0)
-        np.minimum.reduce(rows, axis=0, out=row)
-        if certify:
-            failed = ~((rows.take(order.take(row), axis=1) == rows).all(axis=0) | below)
-            if failed.any():
-                raise NotALattice(
-                    f"elements {i} and {int(np.argmax(failed))} have two {least} {bound} bounds"
-                )
-        np.copyto(row, k, where=below)
-    step = max(1, _ID_BLOCK // max(n, 1))
+    if not n:
+        return table
+    _above_all(topo[-1], down, bound)
+    table[topo[-1]] = n - 1
+    order = np.array(topo, dtype=np.intp)
+    position = np.empty(n, dtype=TABLE_DTYPE)
+    position[order] = np.arange(n)
+    packed = _packed(down)
+    counts = np.fromiter(map(len, covers), dtype=np.intp, count=n)
+    flat = np.fromiter(itertools.chain.from_iterable(covers), dtype=np.intp, count=counts.sum())
+    first = np.cumsum(counts) - counts
+    levels = np.asarray(levels)
+    by = np.lexsort((counts, levels))
+    failed: dict[int, int] = {}  # failing row -> its first failing column
+    # the first group is topo[-1] alone, the one element on level 0
+    for group in np.split(by, np.flatnonzero(np.diff(levels[by]) | np.diff(counts[by])) + 1)[1:]:
+        c = counts[group[0]]
+        step = max(1, _ID_BLOCK // (c * n))
+        for lo in range(0, len(group), step):
+            rows = group[lo : lo + step]
+            cover_rows = table.take(flat[first[rows, None] + np.arange(c)], axis=0)
+            best = np.minimum.reduce(cover_rows, axis=1)
+            below = np.unpackbits(packed.take(rows, axis=0), axis=1, count=n, bitorder="little").view(bool)
+            np.copyto(best, position.take(rows)[:, None], where=below)
+            if certify:
+                for i, block, named in zip(rows.tolist(), cover_rows, order.take(best)):
+                    agree = block.take(named, axis=1) == block
+                    if not agree.all():
+                        failed[i] = int(np.argmin(agree.all(axis=0)))
+            table[rows] = best
+    if failed:
+        i = max(failed, key=position.__getitem__)
+        raise NotALattice(f"elements {i} and {failed[i]} have two {least} {bound} bounds")
+    ids = order.astype(TABLE_DTYPE)  # so that each block's gather is uint16, not intp
+    step = max(1, _ID_BLOCK // n)
     for start in range(0, n, step):
         block = table[start : start + step]
-        block[...] = order.take(block)
+        block[...] = ids.take(block)
     return table
+
+
+def _join_table(P: FinitePoset) -> np.ndarray:
+    """The certified join table, cached on P, once P has a least element:
+    the lattice gate, as a finite join-semilattice with a least element is a
+    lattice.  The least-element test raises what the meet walk would raise
+    first, so the gate raises as ``_tables`` does, with no meet table."""
+    join = P.__dict__.get("_join_table")
+    if join is None:
+        join = _bound_table(P.topo, P.up_adj, P.depth_above, P.down, "upper", "minimal")
+        if P.n:
+            _above_all(P.topo[0], P.up, "lower")
+        join.flags.writeable = False
+        P.__dict__["_join_table"] = join
+    return join
 
 
 def _tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -333,9 +403,8 @@ def _tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
     cached = P.__dict__.get("_lattice_tables")
     if cached is not None:
         return cached
-    join = _bound_table(P.topo, P.up_adj, P.down, "upper", "minimal")
-    meet = _bound_table(P.topo[::-1], P.down_adj, P.up, "lower", "maximal", certify=False)
-    join.flags.writeable = False
+    join = _join_table(P)
+    meet = _bound_table(P.topo[::-1], P.down_adj, P.height_below, P.up, "lower", "maximal", certify=False)
     meet.flags.writeable = False
     P.__dict__["_lattice_tables"] = (join, meet)
     return join, meet
@@ -348,7 +417,7 @@ def lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
 
 def is_lattice(P: FinitePoset) -> bool:
     try:
-        _tables(P)
+        _join_table(P)
         return True
     except NotALattice:
         return False
@@ -380,13 +449,13 @@ def _kappa(up: Sequence[int], cover: int, j: int) -> Optional[int]:
 
 def is_join_semidistributive(P: FinitePoset) -> bool:
     """The dual kappa exists for every meet-irreducible (Free Lattices, ch. II)."""
-    _tables(P)  # raises NotALattice on a non-lattice
+    _join_table(P)  # raises NotALattice on a non-lattice
     return all(_kappa(P.down, P.up_adj[m][0], m) is not None for m in meet_irreducibles(P))
 
 
 def is_meet_semidistributive(P: FinitePoset) -> bool:
     """kappa exists for every join-irreducible (Free Lattices, ch. II)."""
-    _tables(P)  # raises NotALattice on a non-lattice
+    _join_table(P)  # raises NotALattice on a non-lattice
     return all(_kappa(P.up, P.down_adj[j][0], j) is not None for j in join_irreducibles(P))
 
 
@@ -422,7 +491,7 @@ def lambda_jsd(P: FinitePoset, edge: Edge) -> int:
     p, q = edge
     if q not in P.up_adj[p]:
         raise ValueError(f"({p}, {q}) is not a cover")
-    _tables(P)  # raises NotALattice on a non-lattice
+    _join_table(P)  # raises NotALattice on a non-lattice
     if "_join_irreducible_mask" not in P.__dict__:
         P.__dict__["_join_irreducible_mask"] = sum(1 << j for j in join_irreducibles(P))
     candidates = P.down[q] & ~P.down[p] & P.__dict__["_join_irreducible_mask"]
@@ -609,7 +678,7 @@ def _polygon_arrays(P: FinitePoset) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     Candidates go in blocks, each rung one numpy step of every live walk,
     and leave the walk when they fail.
     """
-    join, _ = _tables(P)
+    join = _join_table(P)
     up = _cover_rows(P.up_adj)
 
     def inside(rows, bound):  # the covers c <= bound

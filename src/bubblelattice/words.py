@@ -169,7 +169,15 @@ def count_shuffle(m: int, n: int) -> int:
 
 
 def enumerate_shuffle(m: int, n: int) -> tuple[ShuffleWord, ...]:
-    """All shuffle words for the given alphabet sizes, in canonical order."""
+    """All shuffle words for the given alphabet sizes, in canonical order.
+
+    The order needs no sort: the depth-first search below emits each prefix
+    before its extensions, and tries the next letters in increasing
+    ``(tag, index)`` order, every x before every y.  So of two words, the
+    one emitted first is a proper prefix of the other, or at the first
+    letter where they differ it took the branch tried earlier, which is the
+    smaller letter: its ``sort_key`` is the lesser one either way.
+    """
     if m < 0 or n < 0:
         raise OutOfAlphabet(f"alphabet sizes must be nonnegative, got m={m} n={n}")
     found: list[tuple[Letter, ...]] = []
@@ -187,9 +195,7 @@ def enumerate_shuffle(m: int, n: int) -> tuple[ShuffleWord, ...]:
             prefix.pop()
 
     extend(1, 1)
-    words = [ShuffleWord(ls, m, n) for ls in found]
-    words.sort(key=lambda w: w.sort_key)
-    return tuple(words)
+    return tuple(ShuffleWord(ls, m, n) for ls in found)
 
 
 def restriction(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:

@@ -11,8 +11,10 @@ the public ``restriction``, ``y_fill``, ``word_from_profile`` and
 pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
 ``_comparability_components``) that the cover recursion and the polygon
 search by cover walks in ``posets`` replaced; ``oracle_certified_tables``
-is the cover recursion with the certificate on the meet walk too, which
-``posets._tables`` dropped as redundant once the join walk is certified.
+is the cover recursion one element at a time in reverse topological order,
+which the walk by depth level in ``posets`` replaced, with the certificate
+on the meet walk too, which ``posets._tables`` dropped as redundant once
+the join walk is certified.
 ``semidistributive_half`` is the triple scan over the join and meet tables
 that the kappa route to semidistributivity replaced, and
 ``oracle_left_modular_test`` the full-matrix left-modularity test, over

@@ -760,12 +760,13 @@ def assert_matches_oracles_or_not_a_lattice(P):
 
 def assert_matches_certified_oracle(P):
     """The same tables as the walk that certifies both, or NotALattice with
-    the same message."""
+    the same message, which the lattice gate raises too, with no meet table."""
     try:
         expected = oracle_certified_tables(P)
     except NotALattice as exc:
-        with pytest.raises(NotALattice, match=f"^{re.escape(str(exc))}$"):
-            lattice_tables(P)
+        for build in (lattice_tables, posets._join_table):
+            with pytest.raises(NotALattice, match=f"^{re.escape(str(exc))}$"):
+                build(FinitePoset(P.n, P.edges()))
         return
     join, meet = lattice_tables(P)
     assert np.array_equal(join, expected[0]) and np.array_equal(meet, expected[1])
@@ -781,8 +782,23 @@ class TestUncertifiedMeetWalk:
     @example(FinitePoset(3, [(0, 2), (1, 2)]))
     # the bounded 2+2 crown: "two minimal upper bounds" from the join walk
     @example(FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]))
+    # 1 and 4, at positions 1 and 2 of topo, share a level, and each fails
+    # at the other: the walk names the failing row of greatest position
+    @example(FinitePoset(6, [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (4, 2), (4, 5), (5, 3)]))
     def test_random_posets(self, P):
         assert_matches_certified_oracle(P)
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_level_walk_steps(self, block, bubble):
+        # one row per step, and steps of 11 // c rows with a remainder (N = 86)
+        P = bubble(3, 2).poset
+        with mock.patch.object(posets, "_ID_BLOCK", block):
+            assert_matches_certified_oracle(FinitePoset(P.n, P.edges()))
+
+    @given(st.one_of(random_bounded_poset(), relabelled_bounded_poset()), st.sampled_from([1, 40]))
+    def test_level_walk_steps_on_random_posets(self, P, block):
+        with mock.patch.object(posets, "_ID_BLOCK", block):
+            assert_matches_certified_oracle(FinitePoset(P.n, P.edges()))
 
     @pytest.mark.parametrize("P", [boolean_poset(2), n5(), FinitePoset(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)])])
     def test_meet_by_max_is_caught(self, P, monkeypatch):
@@ -881,6 +897,19 @@ class TestCoverRecursionAgainstOracles:
             tracemalloc.stop()
         assert peak <= 2 * fresh.n**2 * 2 + 2 * 2**20
 
+    def test_lattice_gate_builds_no_meet_table(self, bubble):
+        # the join table plus 2 MB: the meet table would add 7.0 MiB at (4,4)
+        P = bubble(4, 4).poset
+        fresh = FinitePoset(P.n, P.edges())
+        tracemalloc.start()
+        try:
+            assert is_lattice(fresh) and is_semidistributive(fresh)
+            lambda_jsd(fresh, fresh.edges()[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= fresh.n**2 * 2 + 2 * 2**20
+
     def test_polygon_search_keeps_only_its_polygons(self, bubble):
         # the polygons share the ints of one object array and are built a
         # block at a time; the walk-based search held 3.55 MiB and peaked at
@@ -904,4 +933,4 @@ class TestCoverRecursionAgainstOracles:
     def test_more_elements_than_uint16_ids_refused(self):
         # refused before anything is read or allocated: the tables would need 17 GB
         with pytest.raises(ValueError, match="^65,537 elements are more than uint16 tables can index"):
-            posets._bound_table(range(posets.TABLE_LIMIT + 1), None, None, "upper", "minimal")
+            posets._bound_table(range(posets.TABLE_LIMIT + 1), None, None, None, "upper", "minimal")

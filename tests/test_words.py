@@ -1,5 +1,6 @@
 """Word algebra: validation, enumeration, restriction, fills, profiles."""
 
+import itertools
 import math
 
 import pytest
@@ -150,9 +151,10 @@ class TestEnumerate:
         assert [word_text(u) for u in words] == ["-"]
 
     def test_canonical_order_is_sorted(self):
-        words = enumerate_shuffle(2, 2)
-        keys = [u.sort_key for u in words]
-        assert keys == sorted(keys)
+        # the search emits the words in order, with no sort
+        for m, n in itertools.product(range(6), repeat=2):
+            keys = [u.sort_key for u in enumerate_shuffle(m, n)]
+            assert keys == sorted(keys), (m, n)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3), (3, 2)])
     def test_set_matches_interleaving_oracle(self, m, n):
