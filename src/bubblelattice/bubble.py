@@ -154,13 +154,35 @@ def _cover_steps(words: Sequence[ShuffleWord]):
         batches.append((src, covers, 1, 0, j))
     columns = (np.concatenate([np.broadcast_to(b[k], b[0].shape) for b in batches]) for k in range(5))
     src, covers, kind, s, t = columns
-    keys = _union_keys(xs, ys, rows, rows, width)
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], covers).clip(max=len(keys) - 1)
-    missing = np.flatnonzero(keys[order[pos]] != covers)
+    dst = _key_index(_union_keys(xs, ys, rows, rows, width), covers)
+    missing = np.flatnonzero(dst < 0)
     if len(missing):
         raise ValueError(f"a cover of {words[src[missing[0]]]} is not among the words")
-    return src, order[pos], kind.astype(np.int8), s.astype(np.int8), t.astype(np.int8)
+    return src, dst, kind.astype(np.int8), s.astype(np.int8), t.astype(np.int8)
+
+
+def y_fill_ids(words: Sequence[ShuffleWord]) -> np.ndarray:
+    """The index in ``words`` of each word's ``y_fill``, read off the code
+    with no word built: every y present, a missing one with the row of the
+    next larger present y, or 0 (``_filled``), looked up by its
+    ``_union_keys`` key as ``_cover_steps`` looks up a cover.  A fill
+    missing from ``words`` raises ValueError."""
+    xs, ys, rows, _ = _codes(words)
+    width = int(np.bitwise_or.reduce(xs, initial=0)).bit_length()
+    filled = _filled(rows, ys)
+    every = np.full_like(ys, (1 << rows.shape[1]) - 2)
+    fill = _key_index(_union_keys(xs, ys, rows, rows, width), _union_keys(xs, every, filled, filled, width))
+    missing = np.flatnonzero(fill < 0)
+    if len(missing):
+        raise ValueError(f"the y_fill of {words[missing[0]]} is not among the words")
+    return fill
+
+
+def _key_index(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The index in ``keys`` of each key of ``wanted``, or -1 where it is missing."""
+    order = np.argsort(keys)
+    pos = np.searchsorted(keys[order], wanted).clip(max=len(keys) - 1)
+    return np.where(keys[order[pos]] == wanted, order[pos], -1)
 
 
 def join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:

@@ -21,6 +21,7 @@ from .bubble import (
     extremal_chain_words,
     filling_tables,
     order_relation,
+    y_fill_ids,
 )
 from .errors import KappaMissing
 from .galois import (
@@ -38,7 +39,7 @@ from .labeling import (
     verify_cu_labeling,
 )
 from .posets import _ROW_BLOCK, FinitePoset, _bits, _masks, _matrix, _packed, _reach
-from .words import Letter, dualize, y_fill
+from .words import Letter, dualize
 
 @dataclass
 class CheckResult:
@@ -269,10 +270,11 @@ def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
 
 def check_yfill_closure(family: LatticeFamily) -> CheckResult:
     """y_fill is a closure operator whose fixed points are the words with
-    every y.  The witness is a pair (u, v) where a law fails: v = y_fill(u)
-    and u's own laws fail, or u <= v and y_fill(u) is not below y_fill(v)."""
+    every y, with each fill read off the codes (``y_fill_ids``).  The witness
+    is a pair (u, v) where a law fails: v = y_fill(u) and u's own laws fail,
+    or u <= v and y_fill(u) is not below y_fill(v)."""
     rel = family.relation
-    fill = np.array([family.index(y_fill(u)) for u in family.words], dtype=np.intp)
+    fill = y_fill_ids(family.words)
     full = np.array([u.code[1].bit_count() == family.n for u in family.words], dtype=bool)
     own = np.arange(len(fill))
     broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)

@@ -6,12 +6,13 @@ the one stored form of the order: a bool view is unpacked where rows are
 compared, never kept.  Distributivity runs over numpy join/meet tables,
 left modularity tests the covers, the jsd label reads the down-sets and
 semidistributivity is read off kappa.
-The tables come from one recursion over covers, which builds the rows of
-one depth level together, a group of rows with the same number of covers
-at a time.  Only the join walk carries a certificate, which makes it, with
-a test for a least element, the one proof that P is a lattice, since a
-finite join-semilattice with a least element is one: that is the lattice
-gate, and a test that needs only the gate builds no meet table.
+The tables come from a recursion over covers on the columns of the
+elements with at most one lower cover (upper, for the meet), a depth level
+at a time; every other row is the join of two rows below it.  Only the
+join table carries a certificate, |edges| x |columns| bit tests, which
+makes it, with a test for a least element, the one proof that P is a
+lattice: that is the lattice gate, and a test that needs only the gate
+builds no meet table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -237,10 +239,14 @@ class FinitePoset:
 
 
 def _packed(masks: Sequence[int], n: Optional[int] = None) -> np.ndarray:
-    """Bitmask i as uint8 row i of n bits (default len(masks)): bit j in byte j >> 3."""
+    """Bitmask i as uint8 row i of n bits (default len(masks)): bit j in byte
+    j >> 3, written a row at a time into the array it returns."""
     width = ((len(masks) if n is None else n) + 7) // 8
-    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+    packed = np.empty((len(masks), width), dtype=np.uint8)
+    data = packed.reshape(-1).data
+    for i, mask in enumerate(masks):
+        data[i * width : (i + 1) * width] = mask.to_bytes(width, "little")
+    return packed
 
 
 def _masks(matrix: np.ndarray) -> list[int]:
@@ -260,10 +266,9 @@ def _matrix(masks: Sequence[int], n: Optional[int] = None) -> np.ndarray:
 TABLE_DTYPE = np.dtype(np.uint16)
 TABLE_LIMIT = int(np.iinfo(TABLE_DTYPE).max) + 1
 
-# entries per block when a finished table's positions become ids, per
-# gather of one step of the level walk, or per distributivity gather, so that
-# the only temporaries of those steps are small blocks, not a second N x N
-# (or N^3) array
+# entries per step of the column walk (an eighth of it per step of the
+# certificate) or per distributivity gather, so that the only temporaries of
+# those steps are small blocks, not a second N x N (or N^3) array
 _ID_BLOCK = 1 << 16
 
 
@@ -276,107 +281,116 @@ def _above_all(top: int, down: Sequence[int], bound: str) -> None:
         raise NotALattice(f"elements {top} and {(missing & -missing).bit_length() - 1} have no {bound} bound")
 
 
-def _bound_table(
-    topo: Sequence[int],
-    covers,
-    levels: Sequence[int],
-    down: Sequence[int],
-    bound: str,
-    least: str,
-    certify: bool = True,
-) -> np.ndarray:
-    """The join table, each row built from the rows of the upper covers.
+def _bound_table(P: FinitePoset, meet: bool = False) -> np.ndarray:
+    """The certified join table F, or with ``meet`` the meet table by the
+    same steps on the dual order, without the certificate.  K is the
+    elements with at most one lower cover; ``_join_table`` has the proof.
 
-    Off the down-set of i, the upper bounds of i and j are those of c v j
-    over the covers c of i, so i v j is the candidate w of least
-    topological position, once w is shown below every candidate:
-    c v w = c v j for each c.  While the rows are built their entries are
-    ``topo`` positions, so the least candidate is a plain min over the cover
-    rows; the finished table is turned into element ids in place.  Given the
-    reversed order, lower covers, ``height_below`` and up-sets, the same walk
-    builds the meet table.
-
-    The walk goes by depth level: ``levels`` is the length of a longest
-    path up to a maximal element (``depth_above``), and each cover of a row
-    lies on a level of smaller depth, so all rows of one level are built at
-    once.  A level's rows go in groups with the same number c of covers, and
-    a group in steps of about ``_ID_BLOCK`` gathered entries.  Each step
-    takes one gather of the (rows, c, N) cover rows, one min over the
-    covers, one unpacking of the rows' packed down-sets, one fill of each
-    row's own position where j <= i, and one gather of the chosen ids.  The
-    certificate then runs per row, on its contiguous (c, N) block of cover
-    rows: one gather and one comparison.  The filled entries need no mask,
-    as there c v i = c = c v j.
+    1. The column walk builds the columns K, in topological positions, from
+       the top down: F[i,k] is i where k <= i, else the least F[c,k] over
+       the upper covers c of i.  Covers lie on levels of smaller
+       ``depth_above``, so a level's rows are built together, in steps of
+       about ``_ID_BLOCK`` gathered entries.  The cover lists are padded
+       with -1, which reads a sentinel last row, the top's position.  The
+       columns then become ids one at a time (an intp index of N entries).
+    2. The certificate tests F[i,k] <= F[c,k] for every edge i ⋖ c and k in
+       K, one bit of the packed down-set of F[c,k] each, in blocks of edges.
+    3. The fill: the rows K are the columns, and every other row j, in
+       topological order, is F[d2][F[d1]] for two lower covers d1 != d2 of
+       j: one gather straight into the table, unbuffered ("clip").
 
     "No upper bound" is decided first, at ``topo[-1]``: it is maximal, so
-    once its down-set is everything it is the one element without covers.
-    A failed certificate is recorded and the walk goes on.  At its end,
-    NotALattice names the failing row of greatest position and its first
-    failing column: the pair that a walk one row at a time in reverse
-    ``topo`` order names, as that walk stops at this row.  Every row reads
-    only rows of greater position, so the rows above this one are built as
-    in that walk, and pass; this row reads the same rows as there, and fails
-    at the same column; and a row built from a failed row lies below it, at
-    a lesser position.
-
-    With ``certify`` false the certificate is skipped, so only "no bound"
-    can be raised.  That is exact for the meet walk once the join walk is
-    certified, by the lemma that a finite join-semilattice with a least
-    element is a lattice; ``_tables`` gives the proof.
+    once its down-set is everything it is the top.  A failed certificate
+    names the failing row of greatest position and its least failing k.
     """
-    n = len(topo)
+    n = P.n
     if n > TABLE_LIMIT:
         raise ValueError(f"{n:,} elements are more than {TABLE_DTYPE} tables can index ({TABLE_LIMIT:,})")
+    topo, covers, lower, levels, down, up = (
+        (P.topo[::-1], P.down_adj, P.up_adj, P.height_below, P.up, P.down)
+        if meet
+        else (P.topo, P.up_adj, P.down_adj, P.depth_above, P.down, P.up)
+    )
     table = np.empty((n, n), dtype=TABLE_DTYPE)
     if not n:
         return table
-    _above_all(topo[-1], down, bound)
-    table[topo[-1]] = n - 1
-    order = np.array(topo, dtype=np.intp)
+    _above_all(topo[-1], down, "lower" if meet else "upper")
+    K = [k for k in range(n) if len(lower[k]) < 2]
+    order = np.array(topo, dtype=TABLE_DTYPE)
     position = np.empty(n, dtype=TABLE_DTYPE)
     position[order] = np.arange(n)
-    packed = _packed(down)
-    counts = np.fromiter(map(len, covers), dtype=np.intp, count=n)
-    flat = np.fromiter(itertools.chain.from_iterable(covers), dtype=np.intp, count=counts.sum())
-    first = np.cumsum(counts) - counts
-    levels = np.asarray(levels)
-    by = np.lexsort((counts, levels))
-    failed: dict[int, int] = {}  # failing row -> its first failing column
-    # the first group is topo[-1] alone, the one element on level 0
-    for group in np.split(by, np.flatnonzero(np.diff(levels[by]) | np.diff(counts[by])) + 1)[1:]:
-        c = counts[group[0]]
-        step = max(1, _ID_BLOCK // (c * n))
-        for lo in range(0, len(group), step):
-            rows = group[lo : lo + step]
-            cover_rows = table.take(flat[first[rows, None] + np.arange(c)], axis=0)
-            best = np.minimum.reduce(cover_rows, axis=1)
-            below = np.unpackbits(packed.take(rows, axis=0), axis=1, count=n, bitorder="little").view(bool)
-            np.copyto(best, position.take(rows)[:, None], where=below)
-            if certify:
-                for i, block, named in zip(rows.tolist(), cover_rows, order.take(best)):
-                    agree = block.take(named, axis=1) == block
-                    if not agree.all():
-                        failed[i] = int(np.argmin(agree.all(axis=0)))
-            table[rows] = best
-    if failed:
-        i = max(failed, key=position.__getitem__)
-        raise NotALattice(f"elements {i} and {failed[i]} have two {least} {bound} bounds")
-    ids = order.astype(TABLE_DTYPE)  # so that each block's gather is uint16, not intp
-    step = max(1, _ID_BLOCK // n)
-    for start in range(0, n, step):
-        block = table[start : start + step]
-        block[...] = ids.take(block)
+    below = _matrix([up[k] for k in K], n).T  # [i, k]: k <= i
+    cover_rows = _cover_rows(covers)
+    columns = np.full((n + 1, len(K)), n - 1, dtype=TABLE_DTYPE)
+    step = max(1, _ID_BLOCK // (cover_rows.shape[1] * len(K)))
+    by = np.argsort(levels, kind="stable")
+    for group in np.split(by, np.flatnonzero(np.diff(np.take(levels, by))) + 1):  # one level each
+        for rows in (group[lo : lo + step] for lo in range(0, len(group), step)):
+            best = np.minimum.reduce(columns.take(cover_rows.take(rows, axis=0), axis=0), axis=1)
+            np.copyto(best, position.take(rows)[:, None], where=below.take(rows, axis=0))
+            columns[rows] = best
+    columns = np.stack([order.take(column) for column in columns[:n].T], axis=1)
+    if not meet:
+        packed, failed = _packed(down), []
+        lows = np.repeat(np.arange(n), list(map(len, covers)))
+        highs = np.fromiter(itertools.chain.from_iterable(covers), dtype=np.intp, count=len(lows))
+        step = max(1, _ID_BLOCK // 8 // len(K))  # each intp temporary 64 KB
+        for lo in range(0, len(lows), step):
+            low, high = (columns.take(ends[lo : lo + step], axis=0) for ends in (lows, highs))  # F[i,k], F[c,k]
+            bits = packed.take(high.astype(np.intp) * packed.shape[1] + (low >> 3))
+            edge, k = np.nonzero(bits >> (low & 7) & 1 == 0)
+            failed.extend(zip(lows[lo + edge].tolist(), k.tolist()))
+        if failed:  # the failing row of greatest position, and its least failing k
+            i, k = max(failed, key=lambda pair: (position[pair[0]], -pair[1]))
+            raise NotALattice(f"elements {i} and {K[k]} have two minimal upper bounds")
+    table[K] = columns.T
+    for j in topo:
+        if len(lower[j]) > 1:
+            d1, d2 = lower[j][:2]
+            table[d2].take(table[d1], out=table[j], mode="clip")  # F[d2][F[d1]]; "raise" would buffer out
     return table
 
 
 def _join_table(P: FinitePoset) -> np.ndarray:
     """The certified join table, cached on P, once P has a least element:
     the lattice gate, as a finite join-semilattice with a least element is a
-    lattice.  The least-element test raises what the meet walk would raise
-    first, so the gate raises as ``_tables`` does, with no meet table."""
+    lattice.  The least-element test raises what the meet table would raise
+    first, so the gate raises as ``_tables`` does, with no meet table.
+
+    Why ``_bound_table`` builds the join table, and certifies that P, which
+    has a top t, is a join-semilattice.  K is the elements with at most one
+    lower cover (Free Lattices, ch. II: every element is a join of
+    join-irreducibles), and F the walk's columns.
+
+    (A) If the certificate passes, F[i,k] = i v k for each i and k in K, by
+        induction from the top.  F[t,k] = t, as every k lies below t.  For
+        i < t, let F[c,k] = c v k for the upper covers c of i.  F[i,k] is i
+        where k <= i, else some F[c,k]: an upper bound of i and k.  Every
+        other one, u, is u = i >= F[i,k], or lies above a cover c, so
+        u >= c v k = F[c,k] >= F[i,k] by the certificate.
+    (B) If every pair (i, k) with k in K has a join, P is a join-semilattice,
+        by induction on j from the bottom up.  A j outside K has lower
+        covers d1 != d2, whose join exists; d1 < d1 v d2 <= j and d1 ⋖ j, so
+        d1 v d2 = j.  So the upper bounds of i and j are those of i v d1
+        and d2, both joins exist, and i v j = (i v d1) v d2.
+    (C) So the fill is exact: the rows K are the columns, as F is symmetric,
+        and a row j outside K is F[d2][F[d1]], its i-th entry
+        d2 v (d1 v i) = i v j by (B), once the rows below j are final.
+
+    Conversely, on a join-semilattice, i v k for k not below i lies above
+    some cover c, so it is c v k, and every other candidate c' v k lies
+    above it: the walk's least candidate is i v k, and i v k <= c v k
+    passes the certificate.  So the certificate fails iff some pair has no
+    join.  The failing row i of greatest position, with its least failing
+    k, has two minimal upper bounds: every row above i passes, so its
+    covers' entries are joins by (A), and a join of i and k would be the
+    least candidate and pass.  Once P is a lattice, the dual walk and fill
+    are exact by the converse and (C) on the dual order: the meet table
+    needs no certificate.
+    """
     join = P.__dict__.get("_join_table")
     if join is None:
-        join = _bound_table(P.topo, P.up_adj, P.depth_above, P.down, "upper", "minimal")
+        join = _bound_table(P)
         if P.n:
             _above_all(P.topo[0], P.up, "lower")
         join.flags.writeable = False
@@ -385,29 +399,14 @@ def _join_table(P: FinitePoset) -> np.ndarray:
 
 
 def _tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
-    """The certified join table, then the meet table by the same walk
-    without the certificate.
-
-    A finite join-semilattice with a least element is a lattice, and the
-    uncertified meet walk is exact on it.  Once the join walk returns, P has
-    a top and every pair has a join.  The meet walk starts at ``topo[0]``, a
-    minimal element: unless it is the bottom, its up-set misses another
-    minimal element, and "no lower bound" is raised as the certified walk
-    would.  With a bottom, the common lower bounds of i and j have a join,
-    which is i ^ j.  For j not above i, i ^ j < i lies below some lower
-    cover c of i, so i ^ j = c ^ j, and every other candidate c' ^ j lies
-    below both i and j, hence below i ^ j.  So i ^ j is the candidate of
-    least reversed position, the one the min picks, and the meet
-    certificate could never fail.
-    """
-    cached = P.__dict__.get("_lattice_tables")
-    if cached is not None:
-        return cached
-    join = _join_table(P)
-    meet = _bound_table(P.topo[::-1], P.down_adj, P.height_below, P.up, "lower", "maximal", certify=False)
-    meet.flags.writeable = False
-    P.__dict__["_lattice_tables"] = (join, meet)
-    return join, meet
+    """The certified join table, then the meet table by the dual steps
+    without the certificate: once the join table is certified and P has a
+    bottom, P is a lattice (the proof is in ``_join_table``)."""
+    if "_lattice_tables" not in P.__dict__:
+        join, meet = _join_table(P), _bound_table(P, meet=True)
+        meet.flags.writeable = False
+        P.__dict__["_lattice_tables"] = (join, meet)
+    return P.__dict__["_lattice_tables"]
 
 
 def lattice_tables(P: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -645,8 +644,7 @@ def find_crown(P: FinitePoset) -> CrownWitness:
 # -- polygonal intervals ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Polygon:
+class Polygon(NamedTuple):
     bottom: int
     top: int
     chains: tuple[tuple[int, ...], tuple[int, ...]]
@@ -725,7 +723,8 @@ def polygonal_intervals(P: FinitePoset) -> list[Polygon]:
         cut = offsets[lo : lo + 2 * _POLYGON_BLOCK + 1]
         items, bounds = ids[flat[cut[0] : cut[-1]]].tolist(), (cut - cut[0]).tolist()
         chains = [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
-        out.extend(Polygon(c1[0], c1[-1], (c1, c2)) for c1, c2 in zip(chains[0::2], chains[1::2]))
+        firsts = chains[0::2]
+        out.extend(map(Polygon, map(itemgetter(0), firsts), map(itemgetter(-1), firsts), zip(firsts, chains[1::2])))
     return out
 
 

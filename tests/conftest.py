@@ -12,9 +12,11 @@ pair-by-pair table scan and the all-comparable-pairs polygon scan (with its
 ``_comparability_components``) that the cover recursion and the polygon
 search by cover walks in ``posets`` replaced; ``oracle_certified_tables``
 is the cover recursion one element at a time in reverse topological order,
-which the walk by depth level in ``posets`` replaced, with the certificate
-on the meet walk too, which ``posets._tables`` dropped as redundant once
-the join walk is certified.
+over every column, which the walk over the irreducible columns and the fill
+in ``posets`` replaced, with the certificate on the meet walk too, which
+``posets._tables`` dropped as redundant once the join table is certified.
+``oracle_join_witness`` names the pair that a failed join certificate
+names, by testing each pair for a least upper bound.
 ``semidistributive_half`` is the triple scan over the join and meet tables
 that the kappa route to semidistributivity replaced, and
 ``oracle_left_modular_test`` the full-matrix left-modularity test, over
@@ -362,6 +364,19 @@ def _certified_bound_table(topo, covers, down, bound: str, least: str) -> np.nda
         best[below] = k
         table[i] = best
     return order.take(table)
+
+
+def oracle_join_witness(P: FinitePoset) -> Optional[tuple[int, int]]:
+    """The first i, in reverse topological order, that has no least common
+    upper bound with some k of at most one lower cover, and the least such
+    k; None if there is none."""
+    columns = [k for k in range(P.n) if len(P.down_adj[k]) <= 1]
+    for i in reversed(P.topo):
+        for k in columns:
+            common = P.up[i] & P.up[k]
+            if not any(common & ~P.up[w] == 0 for w in _bits(common)):
+                return i, k
+    return None
 
 
 def oracle_left_modular_test(P: FinitePoset):

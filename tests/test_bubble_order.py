@@ -1,6 +1,7 @@
 """Order relations, covers, joins/meets, and the built lattice families."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -620,6 +621,29 @@ class TestClosureOperator:
             for v in family.words:
                 if leq_bubble(u, v):
                     assert leq_bubble(filled[u], filled[v])
+
+    @pytest.mark.parametrize("m,n", splits(5))
+    def test_fill_ids_match_y_fill(self, m, n, bubble):
+        family = bubble(m, n)
+        fill = bubble_module.y_fill_ids(family.words)
+        assert fill.tolist() == [family.index(y_fill(u)) for u in family.words]
+
+    def test_fill_ids_build_no_word(self, monkeypatch):
+        family = build_bubble_lattice(3, 3)
+        family.relation
+        built = []
+        original = ShuffleWord.__post_init__
+        monkeypatch.setattr(ShuffleWord, "__post_init__", lambda self: built.append(original(self)))
+        assert checks.check_yfill_closure(family).ok
+        assert not built
+
+    def test_fill_missing_from_the_words_refused(self, bubble):
+        words = bubble(2, 2).words
+        u = next(w for w in words if len(w.ysupport) < 2)
+        rest = [w for w in words if w != y_fill(u)]
+        first = next(w for w in rest if y_fill(w) not in rest)
+        with pytest.raises(ValueError, match=f"^the y_fill of {re.escape(str(first))} is not among the words$"):
+            bubble_module.y_fill_ids(rest)
 
     def test_closed_means_full_y_support(self, bubble):
         family = bubble(2, 2)

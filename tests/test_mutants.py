@@ -73,13 +73,21 @@ def covers_without_transpositions(original):
     return mutant
 
 
-def insert_y_one_slot_late(original):
-    def mutant(seq, j):
-        pos = next((p for p, l in enumerate(seq) if not l.is_x and l.index > j), len(seq))
-        pos = min(pos + 1, len(seq))
-        return seq[:pos] + (words.Letter.y(j),) + seq[pos:]
+def fill_one_slot_late(original):
+    """``y_fill_ids`` as a fill, word by word, that puts each missing y one
+    slot after its place: the fault once injected into ``words._insert_y``,
+    whose job the codes took over."""
 
-    return mutant
+    def fill(u):
+        seq = u.letters
+        for j in range(u.n, 0, -1):
+            if j not in u.ysupport:
+                pos = next((p for p, l in enumerate(seq) if not l.is_x and l.index > j), len(seq))
+                pos = min(pos + 1, len(seq))
+                seq = seq[:pos] + (words.Letter.y(j),) + seq[pos:]
+        return words.ShuffleWord(seq, u.m, u.n)
+
+    return fill_ids_by(fill)
 
 
 def galois_pair_arcs_reversed(original):
@@ -225,8 +233,8 @@ MUTANTS = {
         {"order.covers_match_reduction", "lattice.hasse_regular", "lattice.unique_joins"},
     ),
     "insert_y_off_by_one": (
-        lambda: words._insert_y,
-        insert_y_one_slot_late,
+        lambda: bubble.y_fill_ids,
+        fill_one_slot_late,
         {"lattice.yfill_closure"},
     ),
     "galois_pair_arcs_reversed": (
@@ -415,18 +423,29 @@ def test_shuffle_suborder_witness(monkeypatch, capsys):
     assert detail["witness"] == first
 
 
+def fill_ids_by(fault):
+    """A ``bubble.y_fill_ids`` whose fill is ``fault`` on each word."""
+
+    def mutant(ws):
+        index = {w: i for i, w in enumerate(ws)}
+        return np.array([index[fault(u)] for u in ws], dtype=np.intp)
+
+    return mutant
+
+
 def test_yfill_closure_witness(monkeypatch, capsys):
-    replace_everywhere(monkeypatch, words.y_fill, lambda u: u)  # never closes
+    replace_everywhere(monkeypatch, bubble.y_fill_ids, fill_ids_by(lambda u: u))  # never closes
     detail = check_detail(["check", "2", "2", "--suite", "lattice"], "lattice.yfill_closure", capsys)
     first = next(u for u in build_bubble_lattice(2, 2).words if len(u.ysupport) < 2)
     assert detail["witness"] == [str(first)] * 2
 
 
-def whole_matrix_yfill_witness(family):
+def whole_matrix_yfill_witness(family, fault):
     """The first broken law of the y_fill check on whole N x N matrices, as
-    ``check_yfill_closure`` computed it before its row blocks."""
+    ``check_yfill_closure`` computed it before its row blocks, with the fill
+    ``fault`` built word by word."""
     rel = family.relation
-    fill = np.array([family.index(words.y_fill(u)) for u in family.words], dtype=np.intp)
+    fill = np.array([family.index(fault(u)) for u in family.words], dtype=np.intp)
     full = np.array([len(u.ysupport) == family.n for u in family.words], dtype=bool)
     own = np.arange(len(fill))
     broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)
@@ -452,12 +471,12 @@ def y_fill_leftmost(u):
 def test_yfill_witness_is_the_first_broken_law(fault, block, monkeypatch):
     """The row-blocked check names the first pair, row-major, of the whole
     matrices, whatever the block."""
-    replace_everywhere(monkeypatch, words.y_fill, fault)
+    replace_everywhere(monkeypatch, bubble.y_fill_ids, fill_ids_by(fault))
     monkeypatch.setattr(checks, "_ROW_BLOCK", block)
     family = build_bubble_lattice(2, 2)
     result = checks.check_yfill_closure(family)
     assert result.status == "fail"
-    assert result.detail == {"witness": whole_matrix_yfill_witness(family)}
+    assert result.detail == {"witness": whole_matrix_yfill_witness(family, fault)}
 
 
 def test_order_axioms_witness(monkeypatch, capsys):

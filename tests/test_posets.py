@@ -1,6 +1,9 @@
 """Generic poset engine: lattices, irreducibles, labels, crowns, doubling."""
 
+import inspect
 import re
+import sys
+import textwrap
 import tracemalloc
 import types
 from unittest import mock
@@ -40,6 +43,7 @@ from conftest import (
     is_isomorphic,
     mask_matrix,
     oracle_certified_tables,
+    oracle_join_witness,
     oracle_lattice_tables,
     oracle_lambda_jsd,
     oracle_left_modular_test,
@@ -760,37 +764,75 @@ def assert_matches_oracles_or_not_a_lattice(P):
 
 def assert_matches_certified_oracle(P):
     """The same tables as the walk that certifies both, or NotALattice with
-    the same message, which the lattice gate raises too, with no meet table."""
+    the same verdict, which the lattice gate raises too, with no meet table:
+    the same message, but for "two minimal upper bounds", whose pair is
+    that of ``oracle_join_witness``."""
     try:
         expected = oracle_certified_tables(P)
     except NotALattice as exc:
+        message = str(exc)
+        if message.endswith("have two minimal upper bounds"):
+            message = "elements {} and {} have two minimal upper bounds".format(*oracle_join_witness(P))
         for build in (lattice_tables, posets._join_table):
-            with pytest.raises(NotALattice, match=f"^{re.escape(str(exc))}$"):
+            with pytest.raises(NotALattice, match=f"^{re.escape(message)}$"):
                 build(FinitePoset(P.n, P.edges()))
         return
     join, meet = lattice_tables(P)
     assert np.array_equal(join, expected[0]) and np.array_equal(meet, expected[1])
 
 
+def source_mutant(monkeypatch, function, old, new):
+    """Replace ``function`` in its module with a copy whose source has the
+    one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    module = sys.modules[function.__module__]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, function.__name__, namespace[function.__name__])
+
+
+def caught(P) -> bool:
+    """Whether the tables of a fresh copy of P fail the certified oracle:
+    other tables or verdict, another message, or NotALattice on a lattice."""
+    try:
+        assert_matches_certified_oracle(FinitePoset(P.n, P.edges()))
+    except (AssertionError, pytest.fail.Exception, NotALattice):
+        return True
+    return False
+
+
+# the bounded 2+2 crown: 1 and 2 have two minimal upper bounds, 3 and 4
+CROWN = FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+# the same without its bottom: 0 and 1 are minimal, with the two bounds 2
+# and 3, and 0 < 5 < 4 gives one column that is not minimal
+CROWN_WITHOUT_BOTTOM = FinitePoset(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (0, 5), (5, 4)])
+
+
 class TestUncertifiedMeetWalk:
-    """The meet walk without its certificate against the walk that
-    certifies both tables: once the join walk is certified, the meet
-    certificate can never fail."""
+    """The tables from the irreducible columns against the walk that
+    certifies both tables over every column: once the join table is
+    certified, the meet table needs no certificate."""
 
     @given(st.one_of(random_bounded_poset(), relabelled_bounded_poset(), closure_lattices()))
     # a join-semilattice without a bottom: "no lower bound" from the meet walk
     @example(FinitePoset(3, [(0, 2), (1, 2)]))
-    # the bounded 2+2 crown: "two minimal upper bounds" from the join walk
-    @example(FinitePoset(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]))
+    # "two minimal upper bounds" from the join table
+    @example(CROWN)
     # 1 and 4, at positions 1 and 2 of topo, share a level, and each fails
     # at the other: the walk names the failing row of greatest position
     @example(FinitePoset(6, [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (4, 2), (4, 5), (5, 3)]))
+    # two minimal elements with two minimal upper bounds: the minimal
+    # elements are columns too
+    @example(CROWN_WITHOUT_BOTTOM)
     def test_random_posets(self, P):
         assert_matches_certified_oracle(P)
 
     @pytest.mark.parametrize("block", [1, 1000])
     def test_level_walk_steps(self, block, bubble):
-        # one row per step, and steps of 11 // c rows with a remainder (N = 86)
+        # one row or edge per step; and steps of 1000 // (w·|K|) rows, w the
+        # widest cover list, or 125 // |K| edges, with a remainder (N = 86,
+        # |K| = 12)
         P = bubble(3, 2).poset
         with mock.patch.object(posets, "_ID_BLOCK", block):
             assert_matches_certified_oracle(FinitePoset(P.n, P.edges()))
@@ -802,21 +844,42 @@ class TestUncertifiedMeetWalk:
 
     @pytest.mark.parametrize("P", [boolean_poset(2), n5(), FinitePoset(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)])])
     def test_meet_by_max_is_caught(self, P, monkeypatch):
-        # the meet walk taking the greatest position among the lower-cover
-        # rows, i.e. the least candidate, in place of the greatest candidate
+        # the meet's column walk taking the greatest position among the
+        # lower-cover rows, i.e. the least candidate, in place of the
+        # greatest candidate
         original = posets._bound_table
         maxed = types.SimpleNamespace(**{**vars(np), "minimum": np.maximum})
 
-        def mutant(*args, certify=True):
-            if certify:
-                return original(*args)
+        def mutant(P, meet=False):
+            if not meet:
+                return original(P)
             with monkeypatch.context() as patch:
                 patch.setattr(posets, "np", maxed)
-                return original(*args, certify=False)
+                return original(P, meet=True)
 
         monkeypatch.setattr(posets, "_bound_table", mutant)
         with pytest.raises(AssertionError):
             assert_matches_oracles(FinitePoset(P.n, P.edges()))
+
+    @pytest.mark.parametrize(
+        "old,new,P",
+        [
+            # the certificate dropped: the crown gets tables
+            ("    if not meet:\n        packed", "    if False:\n        packed", CROWN),
+            # the minimal elements dropped from the columns: column 5 passes,
+            # so "no lower bound" is raised in place of two upper bounds
+            ("len(lower[k]) < 2", "len(lower[k]) == 1", CROWN_WITHOUT_BOTTOM),
+            # the fill using d1 twice: a join with itself
+            ("table[d2].take(table[d1]", "table[d1].take(table[d1]", n5()),
+            # the column walk taking the greatest candidate, join and meet
+            ("np.minimum.reduce", "np.maximum.reduce", n5()),
+        ],
+        ids=["certificate-dropped", "minimal-elements-dropped", "fill-by-d1-twice", "walk-by-max"],
+    )
+    def test_mutant_is_caught(self, old, new, P, monkeypatch):
+        assert not caught(P)
+        source_mutant(monkeypatch, posets._bound_table, old, new)
+        assert caught(P)
 
 
 class TestCoverRecursionAgainstOracles:
@@ -886,7 +949,7 @@ class TestCoverRecursionAgainstOracles:
 
     def test_tables_are_the_only_square_arrays(self, bubble):
         # the two uint16 tables plus 2 MB: a second N x N uint16 array, such
-        # as turning positions into ids out of place, adds 7.4 MB at (4,4)
+        # as a fill that is not in place, adds 7.4 MB at (4,4)
         P = bubble(4, 4).poset
         fresh = FinitePoset(P.n, P.edges())
         tracemalloc.start()
@@ -931,6 +994,22 @@ class TestCoverRecursionAgainstOracles:
         assert join.dtype == meet.dtype == np.uint16
 
     def test_more_elements_than_uint16_ids_refused(self):
-        # refused before anything is read or allocated: the tables would need 17 GB
-        with pytest.raises(ValueError, match="^65,537 elements are more than uint16 tables can index"):
-            posets._bound_table(range(posets.TABLE_LIMIT + 1), None, None, None, "upper", "minimal")
+        # refused before anything else is read or allocated: the tables
+        # would need 17 GB
+        too_big = types.SimpleNamespace(n=posets.TABLE_LIMIT + 1)
+        for meet in (False, True):
+            with pytest.raises(ValueError, match="^65,537 elements are more than uint16 tables can index"):
+                posets._bound_table(too_big, meet)
+
+    def test_packed_holds_one_row_at_a_time(self, bubble):
+        # the array plus 64 KiB: a join of all the rows' bytes first, as
+        # before, peaked at 2.5 times the 0.44 MiB array at (4,4)
+        P = bubble(4, 4).poset
+        tracemalloc.start()
+        try:
+            packed = posets._packed(P.up)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.unpackbits(packed, axis=1, count=P.n, bitorder="little").view(bool), mask_matrix(list(P.up)))
+        assert peak <= packed.nbytes + 2**16
