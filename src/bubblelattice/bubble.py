@@ -6,13 +6,15 @@ x-letters; the bubble order additionally allows swapping an adjacent
 constructively (per-letter right indels and transpositions) rather than by
 transitive reduction.  Covers, both orders, joins (the y-filling formula)
 and meets (its dual) run on the bitmask code of ``ShuffleWord.code``, per
-pair or as numpy arrays over a whole family.
+pair or as numpy arrays over a whole family, where a word is found by its
+rank (``_rank``): its support class, then its row counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,17 +51,19 @@ def leq_bubble(u: ShuffleWord, v: ShuffleWord) -> bool:
 
 
 def _codes(words: Sequence[ShuffleWord], dtype=np.int64):
-    """The x-masks, y-masks, rows and cols of one family's words, as arrays."""
-    return tuple(np.array(part, dtype=dtype) for part in zip(*(w.code for w in words)))
+    """The x-masks, y-masks, rows and cols of one family's words, as arrays;
+    ``rows[t]`` holds row t of every word, ``cols[s]`` col s."""
+    xs, ys, rows, cols = (np.array(part, dtype=dtype) for part in zip(*(w.code for w in words)))
+    return xs, ys, np.ascontiguousarray(rows.T), np.ascontiguousarray(cols.T)
 
 
 def _filled(rows, movers):
     """``rows`` with each missing mover's row replaced by that of the next
     larger present mover, or 0 past the last: the slot rule of ``y_fill``."""
     filled = rows.copy()
-    for t in range(rows.shape[1] - 2, 0, -1):
+    for t in range(len(rows) - 2, 0, -1):
         missing = (movers >> t & 1) == 0
-        filled[missing, t] = filled[missing, t + 1]
+        filled[t, missing] = filled[t + 1, missing]
     return filled
 
 
@@ -81,7 +85,6 @@ def order_relation(words: Sequence[ShuffleWord], _shuffle: bool = False):
     count = len(words)
     dtype = np.min_scalar_type(1 << max((max(w.m, w.n) for w in words), default=0))
     xs, ys, rows, _ = _codes(words, dtype)
-    rows = np.ascontiguousarray(rows.T)  # rows[t] holds row t of every word
     not_xs, not_ys = ~xs, ~ys
     if _shuffle:  # has[t] is all ones where u has y_t: only those rows must agree
         has = (0 - (ys >> np.arange(len(rows))[:, None] & 1)).astype(dtype)
@@ -112,10 +115,8 @@ def order_relation(words: Sequence[ShuffleWord], _shuffle: bool = False):
 
 @dataclass(frozen=True)
 class CoverStep:
-    """How one word covers another: a transposition or a right indel.
-
-    A transposition records exactly the inversion pair it creates.
-    """
+    """How one word covers another: a right indel, or a transposition,
+    which records exactly the inversion pair it creates."""
 
     kind: str  # "transposition" | "delete_x" | "insert_y"
     s: Optional[int] = None
@@ -132,29 +133,26 @@ def _cover_steps(words: Sequence[ShuffleWord]):
     x_s swaps with y_t, the first y after it, when no x lies between, so
     bit s joins ``rows[t]``, and is deleted otherwise; an absent y_j takes
     the row of the next larger present y, or 0.  Each cover is looked up by
-    its ``_union_keys`` key; one missing from ``words`` raises ValueError.
+    its ``_rank``; one missing from ``words`` raises ValueError.
     """
     xs, ys, rows, cols = _codes(words)
-    width = int(np.bitwise_or.reduce(xs, initial=0)).bit_length()
-    batches = [(xs[:0], xs[:0], 0, 0, 0)]  # (src, cover keys, kind, s, t); empty without covers
-    for s in range(1, cols.shape[1]):
+    m, n = len(cols) - 1, len(rows) - 1
+    batches = [(xs[:0], xs[:0], 0, 0, 0)]  # (src, cover ranks, kind, s, t); empty without covers
+    for s in range(1, m + 1):
         src = np.flatnonzero(xs >> s & 1)
-        after = cols[src, s]
-        t = np.searchsorted(1 << np.arange(rows.shape[1]), after & -after)  # the first y after x_s, or 0
-        new = rows[src]
-        swap = (t > 0) & ((xs[src] & ~new[np.arange(len(src)), t]) >> (s + 1) == 0)
-        new[swap, t[swap]] |= 1 << s
+        after, new, at = cols[s, src], rows[:, src], np.arange(len(src))
+        t = np.searchsorted(1 << np.arange(n + 1), after & -after)  # the first y after x_s, or 0
+        swap = (t > 0) & ((xs[src] & ~new[t, at]) >> (s + 1) == 0)
+        new[t[swap], at[swap]] |= 1 << s
         keep = np.where(swap, xs[src], xs[src] & ~(1 << s))
-        covers = _union_keys(keep, ys[src], new, new, width)
-        batches.append((src, covers, 2 * swap, s, np.where(swap, t, 0)))
+        batches.append((src, _rank(keep, ys[src], new, new, m), 2 * swap, s, np.where(swap, t, 0)))
     filled = _filled(rows, ys)
-    for j in range(1, rows.shape[1]):
+    for j in range(1, n + 1):
         src = np.flatnonzero(ys >> j & 1 == 0)
-        covers = _union_keys(xs[src], ys[src] | 1 << j, filled[src], filled[src], width)
-        batches.append((src, covers, 1, 0, j))
+        batches.append((src, _rank(xs[src], ys[src] | 1 << j, filled[:, src], filled[:, src], m), 1, 0, j))
     columns = (np.concatenate([np.broadcast_to(b[k], b[0].shape) for b in batches]) for k in range(5))
     src, covers, kind, s, t = columns
-    dst = _key_index(_union_keys(xs, ys, rows, rows, width), covers)
+    dst = _lookup(xs, ys, rows, m)(covers)
     missing = np.flatnonzero(dst < 0)
     if len(missing):
         raise ValueError(f"a cover of {words[src[missing[0]]]} is not among the words")
@@ -164,25 +162,54 @@ def _cover_steps(words: Sequence[ShuffleWord]):
 def y_fill_ids(words: Sequence[ShuffleWord]) -> np.ndarray:
     """The index in ``words`` of each word's ``y_fill``, read off the code
     with no word built: every y present, a missing one with the row of the
-    next larger present y, or 0 (``_filled``), looked up by its
-    ``_union_keys`` key as ``_cover_steps`` looks up a cover.  A fill
-    missing from ``words`` raises ValueError."""
-    xs, ys, rows, _ = _codes(words)
-    width = int(np.bitwise_or.reduce(xs, initial=0)).bit_length()
+    next larger present y, or 0 (``_filled``), found by its ``_rank``.  A
+    fill missing from ``words`` raises ValueError."""
+    xs, ys, rows, cols = _codes(words)
+    m, n = len(cols) - 1, len(rows) - 1
     filled = _filled(rows, ys)
-    every = np.full_like(ys, (1 << rows.shape[1]) - 2)
-    fill = _key_index(_union_keys(xs, ys, rows, rows, width), _union_keys(xs, every, filled, filled, width))
+    fill = _lookup(xs, ys, rows, m)(_rank(xs, (2 << n) - 2, filled, filled, m))
     missing = np.flatnonzero(fill < 0)
     if len(missing):
         raise ValueError(f"the y_fill of {words[missing[0]]} is not among the words")
     return fill
 
 
-def _key_index(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """The index in ``keys`` of each key of ``wanted``, or -1 where it is missing."""
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], wanted).clip(max=len(keys) - 1)
-    return np.where(keys[order[pos]] == wanted, order[pos], -1)
+@cache
+def _rank_tables(fixed: int, movers: int):
+    """For ``_rank`` on ``fixed`` fixed letters and ``movers`` movers: each
+    mask's popcount; (fixed + 1) r_t at [t, Y], 0 for t not in Y; C(k + r - 1,
+    r) at (fixed + 1) r + k, 0 at r = 0; and at X << movers + 1 | Y the words
+    of the classes before, one of C(|X| + |Y|, |Y|) words per even X, Y."""
+    pop = np.array([i.bit_count() for i in range(2 << max(fixed, movers))])
+    x, y = np.arange(2 << fixed), np.arange(2 << movers)
+    slot = np.stack([(y >> t & 1) * pop[y >> t] * (fixed + 1) for t in range(movers + 1)])
+    binom = np.array([comb(k + r - 1, r) if r else 0 for r in range(movers + 1) for k in range(fixed + 1)])
+    choose = np.array([[comb(a + b, b) for b in range(movers + 2)] for a in range(fixed + 2)])
+    sizes = (choose[pop[x, None], pop[y]] * (x[:, None] & 1 == 0) * (y & 1 == 0)).ravel()
+    return pop, slot, binom, np.cumsum(sizes) - sizes
+
+
+def _rank(keep, present, first, second, fixed):
+    """The rank in its family, of ``fixed`` fixed letters, of the word with
+    fixed letters X = ``keep``, movers Y = ``present`` and mover t inverted
+    with ``(first[t] | second[t]) & keep``, a suffix of X: the words of the
+    classes before (X, Y) plus, over t in Y, C(k_t + r_t - 1, r_t), with
+    k_t = |row t| and r_t the movers of Y from t up.  k_t + r_t - 1 falls
+    strictly as t grows: the combinatorial number system, a bijection of
+    the class onto 0..C(|X| + |Y|, |Y|) - 1.  Takes arrays or one code."""
+    pop, slot, binom, offset = _rank_tables(fixed, len(first) - 1)
+    rank = offset[keep << len(first) | present]
+    for t in range(1, len(first)):
+        rank += binom[slot[t][present] + pop[(first[t] | second[t]) & keep]]
+    return rank
+
+
+def _lookup(keep, present, own, fixed):
+    """A map from ranks to the index of the word of that rank among those of
+    ``_rank``'s masks and rows ``own``; -1 for no word or a rank out of range."""
+    perm = np.full(count_shuffle(fixed, len(own) - 1) + 1, -1)  # and -1 past the end
+    perm[_rank(keep, present, own, own, fixed)] = np.arange(len(keep))
+    return lambda ranks: perm[np.clip(ranks, -1, len(perm) - 1)]
 
 
 def join(u: ShuffleWord, v: ShuffleWord) -> ShuffleWord:
@@ -234,53 +261,31 @@ def filling_tables(words: Sequence[ShuffleWord]):
     Entry [a - lo, b - lo] is the index in ``words`` of ``join(words[a],
     words[b])`` (resp. ``meet``), or -1 where that word is not in ``words``.
     Both are commutative, so a pair b < a is read from the rows of b; a
-    block's entries with b < a are computed but carry no promise.  Each
-    word's mover rows are filled by the slot rule (``_filled``); the union
-    of two filled words is packed into an int64 key and looked up among the
-    keys of ``words``.  The meet is the join with x and y exchanged, on
-    ``cols``.  Each block takes as many rows as make about
-    ``_BLOCK_ENTRIES`` entries against its N - lo columns, so no N x N
-    table is built.
+    block's entries with b < a carry no promise.  The union of two words'
+    filled rows (``_filled``) is found by its ``_rank``; the meet is the
+    join with x and y exchanged, on ``cols``.  A block takes as many rows
+    as make about ``_BLOCK_ENTRIES`` entries against its N - lo columns.
     """
     count = len(words)
     if not count:
         return
     xs, ys, rows, cols = _codes(words)
+    m, n = len(cols) - 1, len(rows) - 1
     sides = []
-    for fixed, movers, own in ((xs, ys, rows), (ys, xs, cols)):
-        width = int(np.bitwise_or.reduce(fixed, initial=0)).bit_length()
-        keys = _union_keys(fixed, movers, own, own, width)  # a word is its own union
-        order = np.argsort(keys)
-        sides.append((fixed, movers, _filled(own, movers), width, keys[order], order))
+    for fixed, movers, own, alphabet in ((xs, ys, rows, m), (ys, xs, cols, n)):
+        sides.append((fixed, movers, _filled(own, movers), alphabet, _lookup(fixed, movers, own, alphabet)))
     lo = 0
     while lo < count:
         step = max(1, _BLOCK_ENTRIES // (count - lo))  # more rows as the columns lo.. shrink
         block, rest = slice(lo, lo + step), slice(lo, None)
-        found = []
-        for fixed, movers, filled, width, keys, order in sides:
-            union = _union_keys(
+        yield lo, *(
+            find(_rank(
                 fixed[block, None] & fixed[rest], movers[block, None] | movers[rest],
-                filled[block, None], filled[rest], width,
-            )
-            pos = np.searchsorted(keys, union).clip(max=count - 1)
-            found.append(np.where(keys[pos] == union, order[pos], -1))
-        yield lo, found[0], found[1]
+                filled[:, block, None], filled[:, rest], alphabet,
+            ))
+            for fixed, movers, filled, alphabet, find in sides
+        )
         lo += step
-
-
-def _union_keys(keep, present, first, second, width):
-    """The int64 key of the word with fixed letters ``keep``, movers
-    ``present`` and mover t inverted with ``(first | second)[..., t] & keep``:
-    the masks and rows side by side, ``width`` bits per fixed-letter mask."""
-    shift = width + second.shape[-1]
-    if shift + width * (second.shape[-1] - 1) > 63:
-        raise ValueError("family too large for int64 word keys")
-    key = keep | present << width
-    for t in range(1, second.shape[-1]):
-        row = (first[..., t] | second[..., t]) & keep & -(present >> t & 1)
-        key |= row << shift
-        shift += width
-    return key
 
 
 @dataclass(frozen=True)
@@ -294,7 +299,13 @@ class LatticeFamily:
     steps: tuple = field(default=(), repr=False, compare=False)  # ``_cover_steps`` of a bubble family
 
     def index(self, u: ShuffleWord) -> int:
-        return self._index[u]
+        """The index of ``u`` in ``words``, by its ``_rank``; KeyError if none."""
+        if (u.m, u.n) == (self.m, self.n):
+            x, y, rows, _ = u.code
+            i = int(self._find(_rank(x, y, rows, rows, self.m)))
+            if i >= 0:
+                return i
+        raise KeyError(u)
 
     @cached_property
     def relation(self):
@@ -302,8 +313,9 @@ class LatticeFamily:
         return order_relation(self.words)
 
     @cached_property
-    def _index(self) -> dict[ShuffleWord, int]:
-        return {w: i for i, w in enumerate(self.words)}
+    def _find(self):
+        xs, ys, rows, _ = _codes(self.words)
+        return _lookup(xs, ys, rows, self.m)
 
     def labels(self) -> list[str]:
         return [str(w) for w in self.words]
@@ -340,23 +352,10 @@ def build_shuffle_poset(m: int, n: int, cap: Optional[int] = None) -> LatticeFam
 
 
 def extremal_chain_words(m: int, n: int) -> list[ShuffleWord]:
-    """A maximum-length chain: append all y's, sweep each y left, delete x's.
-
-    Appending y_1..y_n, transposing each y_j across all of the x's, and then
-    deleting x_m..x_1 gives mn+m+n covers in a row.
-    """
-    seq: list[Letter] = [Letter.x(i) for i in range(1, m + 1)]
-    chain = [ShuffleWord(tuple(seq), m, n)]
-    for j in range(1, n + 1):
-        seq.append(Letter.y(j))
-        chain.append(ShuffleWord(tuple(seq), m, n))
-    for j in range(1, n + 1):
-        pos = seq.index(Letter.y(j))
-        for _ in range(m):
-            seq[pos - 1], seq[pos] = seq[pos], seq[pos - 1]
-            pos -= 1
-            chain.append(ShuffleWord(tuple(seq), m, n))
-    for _ in range(m):
-        seq.pop()
-        chain.append(ShuffleWord(tuple(seq), m, n))
-    return chain
+    """A maximum-length chain of mn+m+n covers: append y_1..y_n, transpose
+    each y_j across all of the x's, then delete x_m..x_1."""
+    xs, ys = [Letter.x(i) for i in range(1, m + 1)], [Letter.y(j) for j in range(1, n + 1)]
+    chain = [xs + ys[:j] for j in range(n + 1)]
+    chain += [ys[:j] + xs[:i] + ys[j : j + 1] + xs[i:] + ys[j + 1 :] for j in range(n) for i in reversed(range(m))]
+    chain += [ys + xs[:i] for i in range(m - 1, -1, -1)]
+    return [ShuffleWord(tuple(seq), m, n) for seq in chain]

@@ -17,7 +17,9 @@ import numpy as np
 from . import posets
 from .bubble import (
     LatticeFamily,
+    _codes,
     _cover_steps,
+    _rank,
     extremal_chain_words,
     filling_tables,
     order_relation,
@@ -39,7 +41,7 @@ from .labeling import (
     verify_cu_labeling,
 )
 from .posets import _ROW_BLOCK, FinitePoset, _bits, _masks, _matrix, _packed, _reach
-from .words import Letter, dualize
+from .words import Letter, count_shuffle, dualize
 
 @dataclass
 class CheckResult:
@@ -81,6 +83,11 @@ def _first_witness(words, bad) -> dict:
         if detail:
             return detail
     return {}
+
+
+def _order_rows(P: FinitePoset, rows: slice) -> np.ndarray:
+    """The rows ``rows`` of the order of P, as bools."""
+    return _matrix(P.up[rows], P.n)
 
 
 def _pair(words, pairs) -> dict:
@@ -138,7 +145,7 @@ def check_order_axioms(family: LatticeFamily) -> CheckResult:
     first triple (u, v, w) with u <= v <= w but not u <= w."""
     rel, P = family.relation, family.poset
     words = family.words
-    detail = _first_witness(words, lambda rows: _matrix(P.up[rows], P.n) != rel[rows])
+    detail = _first_witness(words, lambda rows: _order_rows(P, rows) != rel[rows])
     if detail:
         ups, detail = _masks(rel), {}
         for i, up in enumerate(ups):
@@ -178,7 +185,7 @@ def check_covers_by_reduction(family: LatticeFamily) -> CheckResult:
     cover of its closure, so the covers are the reduction of R iff their
     closure is R; the witness is the first pair where the two differ."""
     P, rel = family.poset, family.relation
-    detail = _first_witness(family.words, lambda rows: _matrix(P.up[rows], P.n) != rel[rows])
+    detail = _first_witness(family.words, lambda rows: _order_rows(P, rows) != rel[rows])
     return _result("order.covers_match_reduction", not detail, detail)
 
 
@@ -203,14 +210,16 @@ def check_unique_joins(family: LatticeFamily) -> CheckResult:
 
 
 def check_hasse_regular(family: LatticeFamily) -> CheckResult:
-    degree = family.m + family.n
-    ok = all(family.poset.degree(i) == degree for i in range(len(family.words)))
-    up_ok = all(
-        len(family.poset.up_adj[i])
-        == len(w.xsupport) + (family.n - len(w.ysupport))
-        for i, w in enumerate(family.words)
-    )
-    return _result("lattice.hasse_regular", ok and up_ok, {"degree": degree})
+    """Every word has m + n covers, |X| + n - |Y| of them upper covers; the
+    witness is the first word that has not."""
+    P, degree = family.poset, family.m + family.n
+    detail = {"degree": degree}
+    for i, w in enumerate(family.words):
+        x, y = w.code[:2]
+        if P.degree(i) != degree or len(P.up_adj[i]) != x.bit_count() + family.n - y.bit_count():
+            detail["witness"] = [str(w)]
+            break
+    return _result("lattice.hasse_regular", "witness" not in detail, detail)
 
 
 def check_extremal_counts(family: LatticeFamily) -> CheckResult:
@@ -317,19 +326,23 @@ def check_labeling_fibers(family: LatticeFamily) -> CheckResult:
 def check_duality(family: LatticeFamily) -> CheckResult:
     """``dualize`` is an anti-isomorphism onto the (n, m) family: a bijection
     under which v covers u iff dualize(u) covers dualize(v).  Each image is
-    a validated (n, m) word, and N distinct images are the whole (n, m)
-    family, which has as many words as this one.  Their covers come from the
-    cover rules, in this family's ids; a cover that is not an image raises
-    ValueError, a failure entry.  The witness is the first pair of words
-    with one image, else the first pair (u, v) on which the two cover
-    relations disagree."""
-    words = family.words
+    a validated (n, m) word, ranked in that family (``bubble._rank``), and N
+    images of distinct ranks are the whole (n, m) family, which has as many
+    words as this one.  Their covers come from the cover rules, in this
+    family's ids; a cover that is not an image raises ValueError, a failure
+    entry.  The witness is the first word whose image repeats an earlier
+    one, with the earliest word of that image, else the first pair (u, v)
+    on which the two cover relations disagree."""
+    words, own = family.words, np.arange(len(family.words))
     images = [dualize(w) for w in words]
-    preimage: dict = {}
-    for i, image in enumerate(images):
-        if image in preimage:
-            return _result("duality.anti_isomorphism", False, _pair(words, [(preimage[image], i)]))
-        preimage[image] = i
+    xs, ys, rows, _ = _codes(images)
+    ranks = _rank(xs, ys, rows, rows, family.n)
+    first = np.full(count_shuffle(family.n, family.m), len(words))
+    np.minimum.at(first, ranks, own)  # the earliest word of each image
+    repeats = np.flatnonzero(first[ranks] != own)
+    if len(repeats):
+        i = repeats[0]
+        return _result("duality.anti_isomorphism", False, _pair(words, [(first[ranks[i]], i)]))
     src, dst, *_ = _cover_steps(images)
     pulled = set(zip(dst.tolist(), src.tolist()))
     differ = sorted(pulled ^ set(family.poset.edges()))
@@ -360,13 +373,16 @@ def check_galois(family: LatticeFamily) -> CheckResult:
     pairs, mask = max_orthogonal_pairs(generic), lambda vertices: sum(1 << (v - 1) for v in vertices)
     index = {(mask(extent), mask(intent)): i for i, (extent, intent) in enumerate(pairs)}
     image = {index.get(pair) for pair in zip(jp.tolist(), mp.tolist())}
-    iso = None not in image and len(image) == P.n == len(pairs) and not _first_witness(
-        family.words, lambda rows: ((jp[rows, None] & ~jp) == 0) != _matrix(P.up[rows], P.n)
-    )
+    bijective = None not in image and len(image) == P.n == len(pairs)
+    # the witness is the first pair (p, q) on which J_p ⊆ J_q and p <= q differ
+    witness = _first_witness(
+        family.words, lambda rows: ((jp[rows, None] & ~jp) == 0) != _order_rows(P, rows)
+    ) if bijective else {}
+    iso = bijective and not witness
     return _result(
         "galois.graphs_coincide",
         iso,
-        {"k": ordering.k, "reconstruction": "isomorphic" if iso else "failed"},
+        {"k": ordering.k, "reconstruction": "isomorphic" if iso else "failed", **witness},
     )
 
 

@@ -97,26 +97,30 @@ class FinitePoset:
         self.up_adj = tuple(tuple(sorted(s)) for s in up_adj)
         self.down_adj = tuple(tuple(sorted(s)) for s in down_adj)
         topo, up = _reach(n, self.up_adj)
-        _, down = _reach(n, self.down_adj)
+        # the down-sets and longest-path ranks from below, in the one
+        # topological order: the lower covers of i come before i
+        down, hfb = [0] * n, [0] * n
+        for i in topo:
+            below = self.down_adj[i]
+            mask = 1 << i
+            for j in below:
+                mask |= down[j]
+            down[i] = mask
+            if below:
+                hfb[i] = 1 + max(map(hfb.__getitem__, below))
         self.topo = tuple(topo)
         self.up = tuple(up)
         self.down = tuple(down)
 
         for a in range(n):
             for b in self.up_adj[a]:
-                between = (up[a] & down[b]) & ~((1 << a) | (1 << b))
-                if between:
+                if (up[a] & down[b]).bit_count() != 2:  # a and b alone
                     raise ValueError(f"edge ({a}, {b}) is not a cover")
 
-        # longest-path ranks from below and above
-        hfb = [0] * n
-        for i in topo:
-            if self.down_adj[i]:
-                hfb[i] = 1 + max(hfb[j] for j in self.down_adj[i])
-        dtt = [0] * n
+        dtt = [0] * n  # longest-path ranks from above
         for i in reversed(topo):
             if self.up_adj[i]:
-                dtt[i] = 1 + max(dtt[j] for j in self.up_adj[i])
+                dtt[i] = 1 + max(map(dtt.__getitem__, self.up_adj[i]))
         self.height_below = tuple(hfb)
         self.depth_above = tuple(dtt)
 

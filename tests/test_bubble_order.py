@@ -12,9 +12,10 @@ from bubblelattice import bubble as bubble_module
 from bubblelattice import checks, posets
 from bubblelattice.bubble import (
     STEP_KINDS,
-    TABLE_LIMIT,
+    LatticeFamily,
+    _codes,
     _cover_steps,
-    _union_keys,
+    _rank,
     build_bubble_lattice,
     extremal_chain_words,
     filling_tables,
@@ -27,7 +28,16 @@ from bubblelattice.bubble import (
 from bubblelattice.errors import CapExceeded
 from bubblelattice.posets import FinitePoset
 from bubblelattice.labeling import edge_labels, label_from_step
-from bubblelattice.words import ShuffleWord, count_shuffle, dualize, parse_word, word_text, y_fill
+from bubblelattice.words import (
+    ShuffleWord,
+    count_shuffle,
+    dualize,
+    enumerate_shuffle,
+    parse_word,
+    profile,
+    word_text,
+    y_fill,
+)
 
 from conftest import (
     closure_matrix,
@@ -168,20 +178,6 @@ class TestCovers:
         assert word_text(words[0]) == "-"
         with pytest.raises(ValueError, match="not among the words"):
             _cover_steps(words[1:])
-
-    def test_keys_fit_every_admitted_family(self):
-        """Both sides' keys take (width + 1)(movers + 1) bits, width the
-        bits of the fixed letters' masks: at most 63 for every family of at
-        most TABLE_LIMIT words, so no family the cap admits is refused."""
-        admitted = [(m, n) for m in range(17) for n in range(17) if count_shuffle(m, n) <= TABLE_LIMIT]
-        assert (16, 0) in admitted and (0, 16) in admitted and (5, 5) in admitted
-        for m, n in admitted:
-            for fixed, movers in ((m, n), (n, m)):
-                width = fixed + 1 if fixed else 0
-                assert (width + 1) * (movers + 1) <= 63
-                full = np.array([(1 << width) - 2 if fixed else 0])
-                rows = np.zeros((1, movers + 1), dtype=np.int64)
-                _union_keys(full, np.array([(1 << movers + 1) - 2]), rows, rows, width)
 
     @pytest.mark.parametrize("m,n", splits(5))
     def test_covers_match_closure_oracle(self, m, n, bubble):
@@ -404,19 +400,17 @@ class TestFillingTables:
                 ]
                 assert table.tolist() == expected
 
-    def test_keys_wider_than_int64_refused(self):
-        with pytest.raises(ValueError):
-            list(filling_tables([parse_word("x1.x2.x3.x4.x5.x6.x7", 7, 7)]))
-
     @pytest.mark.parametrize("corrupt", [lambda key: key | 1 << 62, lambda key: ~key])
     def test_corrupted_key_is_a_failing_pair(self, corrupt, bubble, monkeypatch):
-        original = bubble_module._union_keys
+        """A rank out of range, above the family or negative, looks up no
+        word: -1 on every pair, not an IndexError."""
+        original = bubble_module._rank
 
         def mutant(keep, *args):
-            key = original(keep, *args)
-            return corrupt(key) if keep.ndim == 2 else key  # the family's own keys stay
+            rank = original(keep, *args)
+            return corrupt(rank) if np.ndim(keep) == 2 else rank  # the family's own ranks stay
 
-        monkeypatch.setattr(bubble_module, "_union_keys", mutant)
+        monkeypatch.setattr(bubble_module, "_rank", mutant)
         family = bubble(2, 2)
         result = checks.check_unique_joins(family)
         count = len(family.words)
@@ -487,6 +481,44 @@ class TestFamilies:
                 assert b in family.poset.up_adj[a]
             assert chain[0] == family.poset.bottom()
             assert chain[-1] == family.poset.top()
+
+
+def profile_rank(p, dual=False):
+    """``_rank`` of the word of profile p, its masks and rows read off the
+    supports and the inversion set: x fixed on the rows, or with ``dual`` y
+    fixed on the cols (the y's after each x, those not inverted with it)."""
+    xmask, ymask = sum(1 << s for s in p.xsupp), sum(1 << t for t in p.ysupp)
+    if dual:
+        cols = [sum(1 << t for t in p.ysupp if (s, t) not in p.inv) for s in range(p.m + 1)]
+        return _rank(ymask, xmask, cols, cols, p.n)
+    rows = [sum(1 << s for s in p.xsupp if (s, t) in p.inv) for t in range(p.n + 1)]
+    return _rank(xmask, ymask, rows, rows, p.m)
+
+
+class TestRank:
+    @pytest.mark.parametrize("m,n", splits(9))
+    def test_bijection_on_each_family_both_ways(self, m, n):
+        """Distinct profiles (supports and inversions) get distinct ranks in
+        0..N - 1, with x fixed on the rows and with y fixed on the cols, and
+        the rank of each word's code is that of its profile."""
+        words = enumerate_shuffle(m, n)
+        xs, ys, rows, cols = _codes(words)
+        profiles = [profile(u) for u in words]
+        assert len(set(profiles)) == len(words) == count_shuffle(m, n)
+        for dual, ranks in ((False, _rank(xs, ys, rows, rows, m)), (True, _rank(ys, xs, cols, cols, n))):
+            assert [profile_rank(p, dual) for p in profiles] == ranks.tolist()
+            assert sorted(ranks.tolist()) == list(range(len(words)))
+
+    def test_index_refuses_a_word_not_among_the_words(self, bubble):
+        family = bubble(2, 2)
+        assert [family.index(u) for u in family.words] == list(range(len(family.words)))
+        for foreign in (w("x1", 2, 1), w("x1", 3, 2), w("y1.y2", 1, 2)):
+            with pytest.raises(KeyError):
+                family.index(foreign)
+        part = LatticeFamily(2, 2, family.words[1:], family.poset)
+        assert part.index(family.words[2]) == 1
+        with pytest.raises(KeyError):
+            part.index(family.words[0])
 
 
 class TestIrreducibleForms:

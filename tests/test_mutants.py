@@ -8,6 +8,7 @@ and name the checks that guard the broken fact among its violations.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -103,10 +104,10 @@ def galois_pair_arcs_reversed(original):
 
 def union_without_second_rows(original):
     """The closed-form join and meet with the second word's filled rows taken
-    as empty.  The family's own keys (a word's union with itself) stay right."""
+    as empty.  The family's own ranks (a word's union with itself) stay right."""
 
-    def mutant(keep, present, first, second, width):
-        return original(keep, present, first, np.zeros_like(second), width)
+    def mutant(keep, present, first, second, fixed):
+        return original(keep, present, first, np.zeros_like(second), fixed)
 
     return mutant
 
@@ -243,7 +244,7 @@ MUTANTS = {
         {"galois.graphs_coincide"},
     ),
     "join_drops_second_rows": (
-        lambda: bubble._union_keys,
+        lambda: bubble._rank,
         union_without_second_rows,
         {"lattice.unique_joins"},
     ),
@@ -327,7 +328,7 @@ def first_table_mismatch(family):
 
 
 def test_unique_joins_witness_is_the_first_failing_pair(monkeypatch, capsys):
-    original = bubble._union_keys
+    original = bubble._rank
     replace_everywhere(monkeypatch, original, union_without_second_rows(original))
     assert main(["check", "2", "2", "--suite", "lattice"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
@@ -408,6 +409,47 @@ def test_move_closure_witness(monkeypatch, capsys):
     u, v = (words.parse_word(t, 2, 2) for t in detail["witness"])
     mutated = bubble.order_relation(family.words)
     assert mutated[family.index(u), family.index(v)] != bubble.leq_bubble(u, v)
+
+
+def test_hasse_regular_witness(monkeypatch, capsys):
+    """Without the transpositions, the witness is the first word, by a scan
+    of the letter-level covers, whose degree is not m + n or whose number
+    of upper covers is not |X| + n - |Y|."""
+    original = bubble._cover_steps
+    replace_everywhere(monkeypatch, original, covers_without_transpositions(original))
+    detail = check_detail(["check", "2", "2", "--suite", "lattice"], "lattice.hasse_regular", capsys)
+    ws = words.enumerate_shuffle(2, 2)
+    ups = {u: [v for v, step in upper_covers(u) if step.kind != "transposition"] for u in ws}
+    downs = Counter(v for u in ws for v in ups[u])
+    first = next(
+        u for u in ws if len(ups[u]) + downs[u] != 4 or len(ups[u]) != len(u.xsupport) + 2 - len(u.ysupport)
+    )
+    assert detail == {"degree": 4, "witness": [str(first)]}
+
+
+def test_galois_witness(monkeypatch):
+    """With every comparison to the top dropped from the rows of the order,
+    the witness is the first pair (p, q), row-major, on which J_p ⊆ J_q
+    and the mutated p <= q differ, J_p the join-irreducibles below p by a
+    scan of ``P.leq``."""
+    family = build_bubble_lattice(2, 2)
+    P, top = family.poset, family.poset.top()
+    original = checks._order_rows
+
+    def without_top(P, rows):
+        block = original(P, rows)
+        block[:, top] = False
+        return block
+
+    monkeypatch.setattr(checks, "_order_rows", without_top)
+    result = checks.check_galois(family)
+    below = [{j for j in posets.join_irreducibles(P) if P.leq(j, p)} for p in range(P.n)]
+    first = next(
+        (p, q) for p in range(P.n) for q in range(P.n) if (below[p] <= below[q]) != (P.leq(p, q) and q != top)
+    )
+    assert result.status == "fail"
+    assert result.detail["witness"] == [str(family.words[i]) for i in first]
+    assert result.detail["reconstruction"] == "failed"
 
 
 def test_shuffle_suborder_witness(monkeypatch, capsys):
@@ -637,9 +679,10 @@ def test_duality_witness_names_two_words_with_one_image(monkeypatch, capsys):
     ws = build_bubble_lattice(3, 2).words
     u, v = (words.parse_word(t, 3, 2) for t in detail["witness"])
     assert ws.index(u) < ws.index(v) and drops_last_letter(u) == drops_last_letter(v)
-    # v is the first word whose image an earlier word already has
+    # v is the first word whose image an earlier word already has, u the earliest word with that image
     images = [drops_last_letter(x) for x in ws]
     assert ws.index(v) == min(i for i in range(len(ws)) if images[i] in images[:i])
+    assert ws.index(u) == images.index(images[ws.index(v)])
 
 
 def test_cu_witness_is_the_first_violation(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Generic poset engine: lattices, irreducibles, labels, crowns, doubling."""
 
+import functools
 import inspect
 import re
 import sys
@@ -626,6 +627,23 @@ class TestEngineAgainstNaiveDefinitions:
         join, meet = lattice_tables(P)
         want_join, want_meet = oracle_lattice_tables(P)
         assert (join == want_join).all() and (meet == want_meet).all()
+
+    @given(random_poset())
+    def test_one_pass_equals_two_passes(self, data):
+        """The down-sets and heights from the up pass's topological order
+        equal a second ``_reach`` on the lower covers and the longest
+        chains below and above each element, by recursion."""
+        P, _ = data
+        topo, up = posets._reach(P.n, P.up_adj)
+        _, down = posets._reach(P.n, P.down_adj)
+
+        @functools.cache
+        def height(i, adj):
+            return max((height(j, adj) + 1 for j in adj[i]), default=0)
+
+        assert (P.topo, P.up, P.down) == (tuple(topo), tuple(up), tuple(down))
+        assert P.height_below == tuple(height(i, P.down_adj) for i in range(P.n))
+        assert P.depth_above == tuple(height(i, P.up_adj) for i in range(P.n))
 
     @given(random_poset(max_n=6))
     def test_length_is_longest_chain(self, data):
