@@ -8,6 +8,7 @@ runs both routes and compares, so a bug in either side shows up as a failure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,7 +34,7 @@ from .galois import (
     max_orthogonal_pairs,
     order_irreducibles,
 )
-from .hochschild import enumerate_triwords, verify_hochschild_iso
+from .hochschild import enumerate_triwords, unmatched_word, verify_hochschild_iso
 from .labeling import (
     build_label_poset,
     check_cu_equals_jsd,
@@ -237,14 +238,27 @@ def check_extremal_counts(family: LatticeFamily) -> CheckResult:
 
 
 def check_semidistributive_trim(family: LatticeFamily) -> CheckResult:
-    P = family.poset
+    """Semidistributive by kappa, and trim on the paper's own chain: a search
+    for another chain would hide a wrong one.  The witness is the first
+    join-irreducible without kappa, else the first meet-irreducible without
+    the dual kappa, else the first step of the chain that is not a cover,
+    else the chain's first element that is not left modular."""
+    P, words = family.poset, family.words
     sd = posets.is_semidistributive(P)
-    # trim on the paper's own chain: a search for another chain would hide a wrong one
-    seed = [family.index(w) for w in extremal_chain_words(family.m, family.n)]
-    trim = posets.is_extremal(P) and posets.is_left_modular_chain(P, seed)
-    return _result(
-        "lattice.semidistributive_trim", sd and trim, {"semidistributive": sd, "trim": trim}
-    )
+    chain = [family.index(w) for w in extremal_chain_words(family.m, family.n)]
+    trim = posets.is_extremal(P) and posets.is_left_modular_chain(P, chain)
+    detail = {"semidistributive": sd, "trim": trim}
+    if not (sd and trim):
+        found = itertools.chain(
+            (["no kappa", j] for j in posets.join_irreducibles(P) if posets._kappa(P, j) is None),
+            (["no dual kappa", m] for m in posets.meet_irreducibles(P) if posets._kappa(P, m, dual=True) is None),
+            (["not a cover", a, b] for a, b in zip(chain, chain[1:]) if b not in P.up_adj[a]),
+            (["not left modular", x] for x in chain if not posets._left_modular_test(P)(x)),
+        )
+        first = next(found, None)
+        if first:
+            detail["witness"] = [first[0], *(str(words[i]) for i in first[1:])]
+    return _result("lattice.semidistributive_trim", sd and trim, detail)
 
 
 def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
@@ -279,23 +293,24 @@ def check_same_support_distributive(family: LatticeFamily) -> CheckResult:
 
 def check_yfill_closure(family: LatticeFamily) -> CheckResult:
     """y_fill is a closure operator whose fixed points are the words with
-    every y, with each fill read off the codes (``y_fill_ids``).  The witness
-    is a pair (u, v) where a law fails: v = y_fill(u) and u's own laws fail,
-    or u <= v and y_fill(u) is not below y_fill(v)."""
-    rel = family.relation
-    fill = y_fill_ids(family.words)
-    full = np.array([u.code[1].bit_count() == family.n for u in family.words], dtype=bool)
-    own = np.arange(len(fill))
-    broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)
+    every y: fills read off the codes (``y_fill_ids``), each <= a bit of the
+    packed down-sets of the fills, and monotone tested on the covers, as a
+    map monotone on each cover is monotone along every chain of covers.  The
+    witness is the first pair, row-major, among (u, y_fill(u)) where u's own
+    laws fail and the covers u ⋖ v with y_fill(u) not below y_fill(v)."""
+    P, words, fill = family.poset, family.words, y_fill_ids(family.words)
+    fills, slot = np.unique(fill, return_inverse=True)
+    down = _packed([P.down[f] for f in fills.tolist()], P.n)
 
-    def bad(rows):
-        block = rel[np.ix_(fill[rows], fill)]
-        np.greater(rel[rows], block, out=block)  # monotone: u <= v, y_fill(u) not <= y_fill(v)
-        hit = broken[rows]
-        block[np.flatnonzero(hit), fill[rows][hit]] = True  # idempotent, extensive, closed on full words
-        return block
+    def below_fill(a, b):  # a <= y_fill(b)
+        return down.take(slot[b] * down.shape[1] + (a >> 3)) >> (a & 7) & 1 == 1
 
-    detail = _first_witness(family.words, bad)
+    full = np.array([u.code[1].bit_count() == family.n for u in words], dtype=bool)
+    own, (_, lows, highs) = np.arange(P.n), P.hasse()
+    broken = (fill[fill] != fill) | ~below_fill(own, own) | ((fill == own) != full)
+    unordered = ~below_fill(fill[lows], highs)
+    bad = np.concatenate([own[broken] * P.n + fill[broken], lows[unordered] * P.n + highs[unordered]])
+    detail = _pair(words, [divmod(int(bad.min()), P.n)] if len(bad) else [])
     return _result("lattice.yfill_closure", not detail, detail)
 
 
@@ -392,7 +407,10 @@ def check_hochschild(family: LatticeFamily) -> CheckResult:
     n = family.m + 1
     triwords = len(enumerate_triwords(n))
     ok = verify_hochschild_iso(family) and (n < 2 or triwords == 2 ** (n - 2) * (n + 3))
-    return _result("hochschild.iso", ok, {"n": n, "triwords": triwords})
+    detail = {"n": n, "triwords": triwords}
+    if not ok and (word := unmatched_word(family)) is not None:
+        detail["witness"] = [str(family.words[word])]
+    return _result("hochschild.iso", ok, detail)
 
 
 def check_crown(family: LatticeFamily) -> CheckResult:

@@ -9,6 +9,7 @@ position fills with 1s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -99,20 +100,32 @@ def sigma_tilde(u: ShuffleWord, n: int) -> Triword:
     return Triword(tuple(entries))
 
 
+def unmatched_word(family: LatticeFamily) -> Optional[int]:
+    """The first word whose encoding repeats an earlier word's or is no
+    triword of length m + 1, else the first word whose upper covers are not
+    sent onto the upper covers of its image; None if there is none."""
+    n = family.m + 1
+    tris, tri_poset = hochschild_lattice(n)
+    tri_index = {t: i for i, t in enumerate(tris)}
+    forward = [tri_index.get(sigma_tilde(w, n), -1) for w in family.words]
+    seen: set[int] = set()
+    for i, t in enumerate(forward):
+        if t < 0 or t in seen:
+            return i
+        seen.add(t)
+    for i, t in enumerate(forward):
+        if tuple(sorted(forward[c] for c in family.poset.up_adj[i])) != tri_poset.up_adj[t]:
+            return i
+    return None
+
+
 def verify_hochschild_iso(family: LatticeFamily) -> bool:
     """Does the encoding map the single-y bubble lattice (m, 1) onto the
     triwords of length m + 1?
 
-    Checks bijectivity and that covers match in both directions, i.e. a
-    genuine isomorphism rather than just an order map.
+    An injective map into the triwords that sends the upper covers of each
+    word onto those of its image is, when the counts agree, a bijection
+    under which covers match in both directions: a genuine isomorphism
+    rather than just an order map.
     """
-    n = family.m + 1
-    tris, tri_poset = hochschild_lattice(n)
-    tri_index = {t: i for i, t in enumerate(tris)}
-    image = [sigma_tilde(w, n) for w in family.words]
-    if len(set(image)) != len(image) or set(image) != set(tris):
-        return False
-    forward = [tri_index[t] for t in image]
-    edges_bub = {(forward[a], forward[b]) for a, b in family.poset.edges()}
-    edges_tri = set(tri_poset.edges())
-    return edges_bub == edges_tri
+    return len(family.words) == len(enumerate_triwords(family.m + 1)) and unmatched_word(family) is None

@@ -189,18 +189,20 @@ def verify_cu_labeling(
     meet-irreducibles) carry pairwise distinct labels.
 
     CU1-CU3 run on codes: chain edges are found by one search on the keys
-    a * N + b of ``P.edges()``, each edge used has its label coded once, and
-    ``leq`` is called once per (bottom label, interior label) pair it needs.
+    a * N + b of the edges of ``P.hasse()``, each edge used has its label
+    coded once, and ``leq`` is called once per (bottom label, interior
+    label) pair it needs.
     """
     bottoms, tops, flat, offsets = _polygon_arrays(P)
     report = CUReport(polygon_count=len(bottoms))
-    edges, flat = P.edges(), flat.astype(np.intp)
+    (_, lows, highs), flat = P.hasse(), flat.astype(np.intp)
     first = offsets - np.arange(len(offsets))  # chain c holds the chain edges first[c] .. first[c + 1] - 1
     chain = np.repeat(np.arange(len(offsets) - 1), np.diff(first))
     keys = np.delete(flat[:-1] * P.n + flat[1:], offsets[1:-1] - 1)
-    used, where = np.unique(np.searchsorted([a * P.n + b for a, b in edges], keys), return_inverse=True)
+    used, where = np.unique(np.searchsorted(lows * P.n + highs, keys), return_inverse=True)
     codes: dict[object, int] = {}
-    lab = np.array([codes.setdefault(labels[edges[e]], len(codes)) for e in used.tolist()], dtype=np.intp)
+    edges = zip(lows[used].tolist(), highs[used].tolist())
+    lab = np.array([codes.setdefault(labels[edge], len(codes)) for edge in edges], dtype=np.intp)
     lab, names, width = lab[where.ravel()], [str(value) for value in codes], max(len(codes), 1)
     values = list(codes)
     below = cache(lambda a, b: bool(leq(values[a], values[b])))  # one call per pair of codes

@@ -3,9 +3,14 @@
 Elements are 0..n-1.  Reachability is cached as one big-int bitmask per
 element, so order tests are single AND/shift operations.  The up-sets are
 the one stored form of the order: a bool view is unpacked where rows are
-compared, never kept.  Distributivity runs over numpy join/meet tables,
-left modularity tests the covers, the jsd label reads the down-sets and
-semidistributivity is read off kappa.
+compared, never kept.  The covers have one array form, ``hasse``: the
+rows of covers padded with -1 and the edge arrays, built once per
+direction and read by the tables, the polygon search, left modularity and
+the CU check.  Distributivity runs over numpy join/meet tables, left
+modularity tests the covers, the jsd label reads the down-sets and
+semidistributivity is read off kappa: the greatest element of a set, if
+any, is its element of greatest topological position, so kappa is one
+unpacked row and one AND.
 The tables come from a recursion over covers on the columns of the
 elements with at most one lower cover (upper, for the meet), a depth level
 at a time; every other row is the join of two rows below it.  Only the
@@ -154,6 +159,23 @@ class FinitePoset:
     def edges(self) -> list[Edge]:
         return [(a, b) for a in range(self.n) for b in self.up_adj[a]]
 
+    def hasse(self, dual: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The covers as read-only arrays, built once per direction: the rows
+        of upper covers padded with -1, and the edges (lows, highs) in
+        ``edges()`` order; with ``dual``, the same from the lower covers."""
+        key = "_hasse_dual" if dual else "_hasse"
+        if key not in self.__dict__:
+            adj = self.down_adj if dual else self.up_adj
+            lows = np.repeat(np.arange(self.n), [len(covers) for covers in adj])
+            highs = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp, count=len(lows))
+            slot = np.arange(len(lows)) - np.searchsorted(lows, lows)  # each edge's place among its low's
+            rows = np.full((self.n, slot.max(initial=0) + 1), -1, dtype=np.intp)
+            rows[lows, slot] = highs
+            for array in (rows, lows, highs):
+                array.flags.writeable = False
+            self.__dict__[key] = rows, lows, highs
+        return self.__dict__[key]
+
     def degree(self, i: int) -> int:
         return len(self.up_adj[i]) + len(self.down_adj[i])
 
@@ -294,9 +316,10 @@ def _bound_table(P: FinitePoset, meet: bool = False) -> np.ndarray:
        the top down: F[i,k] is i where k <= i, else the least F[c,k] over
        the upper covers c of i.  Covers lie on levels of smaller
        ``depth_above``, so a level's rows are built together, in steps of
-       about ``_ID_BLOCK`` gathered entries.  The cover lists are padded
-       with -1, which reads a sentinel last row, the top's position.  The
-       columns then become ids one at a time (an intp index of N entries).
+       about ``_ID_BLOCK`` gathered entries.  The cover rows of ``P.hasse``
+       are padded with -1, which reads a sentinel last row, the top's
+       position.  The columns then become ids one at a time (an intp index
+       of N entries).
     2. The certificate tests F[i,k] <= F[c,k] for every edge i ⋖ c and k in
        K, one bit of the packed down-set of F[c,k] each, in blocks of edges.
     3. The fill: the rows K are the columns, and every other row j, in
@@ -310,10 +333,10 @@ def _bound_table(P: FinitePoset, meet: bool = False) -> np.ndarray:
     n = P.n
     if n > TABLE_LIMIT:
         raise ValueError(f"{n:,} elements are more than {TABLE_DTYPE} tables can index ({TABLE_LIMIT:,})")
-    topo, covers, lower, levels, down, up = (
-        (P.topo[::-1], P.down_adj, P.up_adj, P.height_below, P.up, P.down)
+    topo, lower, levels, down, up = (
+        (P.topo[::-1], P.up_adj, P.height_below, P.up, P.down)
         if meet
-        else (P.topo, P.up_adj, P.down_adj, P.depth_above, P.down, P.up)
+        else (P.topo, P.down_adj, P.depth_above, P.down, P.up)
     )
     table = np.empty((n, n), dtype=TABLE_DTYPE)
     if not n:
@@ -324,7 +347,7 @@ def _bound_table(P: FinitePoset, meet: bool = False) -> np.ndarray:
     position = np.empty(n, dtype=TABLE_DTYPE)
     position[order] = np.arange(n)
     below = _matrix([up[k] for k in K], n).T  # [i, k]: k <= i
-    cover_rows = _cover_rows(covers)
+    cover_rows, lows, highs = P.hasse(dual=meet)
     columns = np.full((n + 1, len(K)), n - 1, dtype=TABLE_DTYPE)
     step = max(1, _ID_BLOCK // (cover_rows.shape[1] * len(K)))
     by = np.argsort(levels, kind="stable")
@@ -336,8 +359,6 @@ def _bound_table(P: FinitePoset, meet: bool = False) -> np.ndarray:
     columns = np.stack([order.take(column) for column in columns[:n].T], axis=1)
     if not meet:
         packed, failed = _packed(down), []
-        lows = np.repeat(np.arange(n), list(map(len, covers)))
-        highs = np.fromiter(itertools.chain.from_iterable(covers), dtype=np.intp, count=len(lows))
         step = max(1, _ID_BLOCK // 8 // len(K))  # each intp temporary 64 KB
         for lo in range(0, len(lows), step):
             low, high = (columns.take(ends[lo : lo + step], axis=0) for ends in (lows, highs))  # F[i,k], F[c,k]
@@ -442,24 +463,41 @@ def meet_irreducibles(P: FinitePoset) -> list[int]:
     return [i for i in range(P.n) if len(P.up_adj[i]) == 1]
 
 
-def _kappa(up: Sequence[int], cover: int, j: int) -> Optional[int]:
-    """The greatest element of up[cover] & ~up[j] (its one maximal element),
-    or None; given down-sets and an upper cover, the dual kappa."""
+def _positions(P: FinitePoset) -> np.ndarray:
+    """The position of each element in ``P.topo``, cached on P."""
+    if "_positions" not in P.__dict__:
+        positions = np.empty(P.n, dtype=np.intp)
+        positions[list(P.topo)] = np.arange(P.n)
+        P.__dict__["_positions"] = positions
+    return P.__dict__["_positions"]
+
+
+def _kappa(P: FinitePoset, j: int, dual: bool = False) -> Optional[int]:
+    """kappa(j), the greatest element of S = up[c] & ~up[j] for the lower
+    cover c of j, or None; with ``dual``, the dual kappa, the least element
+    of down[c] & ~down[j] for the upper cover c.  ValueError unless j has
+    exactly one such cover.  Topological positions are a linear extension,
+    so only the element g of S of greatest position (least, with ``dual``)
+    can be greatest (least) in S, and it is iff S lies below (above) g: one
+    unpacked row of S, its positions and one AND.  S holds c, so g exists."""
+    (cover,), up, down = (P.up_adj[j], P.down, P.up) if dual else (P.down_adj[j], P.up, P.down)
     excluded = up[cover] & ~up[j]
-    tops = [p for p in _bits(excluded) if up[p] & excluded == 1 << p]
-    return tops[0] if len(tops) == 1 else None
+    members = np.flatnonzero(_matrix([excluded], P.n)[0])
+    positions = _positions(P).take(members)
+    g = int(members[positions.argmin() if dual else positions.argmax()])
+    return None if excluded & ~down[g] else g
 
 
 def is_join_semidistributive(P: FinitePoset) -> bool:
     """The dual kappa exists for every meet-irreducible (Free Lattices, ch. II)."""
     _join_table(P)  # raises NotALattice on a non-lattice
-    return all(_kappa(P.down, P.up_adj[m][0], m) is not None for m in meet_irreducibles(P))
+    return all(_kappa(P, m, dual=True) is not None for m in meet_irreducibles(P))
 
 
 def is_meet_semidistributive(P: FinitePoset) -> bool:
     """kappa exists for every join-irreducible (Free Lattices, ch. II)."""
     _join_table(P)  # raises NotALattice on a non-lattice
-    return all(_kappa(P.up, P.down_adj[j][0], j) is not None for j in join_irreducibles(P))
+    return all(_kappa(P, j) is not None for j in join_irreducibles(P))
 
 
 def is_semidistributive(P: FinitePoset) -> bool:
@@ -522,9 +560,7 @@ def _left_modular_test(P: FinitePoset) -> Callable[[int], bool]:
     and, per edge, two join-table entries for the order: a ≤ b iff a ∨ b = b.
     """
     join, meet = _tables(P)
-    flat = join.ravel()
-    lower = np.repeat(np.arange(P.n), list(map(len, P.up_adj)))
-    upper = np.fromiter(itertools.chain.from_iterable(P.up_adj), dtype=np.intp, count=len(lower))
+    flat, (_, lower, upper) = join.ravel(), P.hasse()
 
     def test(x: int) -> bool:
         joins, meets = join[x].take(lower), meet[x].take(upper).astype(np.intp)  # y ∨ x, x ∧ z
@@ -619,10 +655,9 @@ class CrownWitness:
 def kappa(P: FinitePoset, j: int) -> int:
     """Greatest element above the lower cover of the join-irreducible j and
     not above j; raises KappaMissing when there is none."""
-    (lower,) = P.down_adj[j]  # ValueError unless j is join-irreducible
-    found = _kappa(P.up, lower, j)
+    found = _kappa(P, j)  # ValueError unless j is join-irreducible
     if found is None:
-        raise KappaMissing(f"no greatest element above {lower} avoids being above {j}", (j,))
+        raise KappaMissing(f"no greatest element above {P.down_adj[j][0]} avoids being above {j}", (j,))
     return found
 
 
@@ -657,12 +692,6 @@ class Polygon(NamedTuple):
 _POLYGON_BLOCK = 1 << 10  # candidate intervals per block of the polygon search
 
 
-def _cover_rows(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    """The cover lists as the rows of an int array, padded with -1."""
-    width = max(map(len, adj), default=0) or 1
-    return np.array([[*covers] + [-1] * (width - len(covers)) for covers in adj], dtype=np.intp).reshape(-1, width)
-
-
 def _polygon_arrays(P: FinitePoset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bottoms, tops, and the chains (p, ..., q) of the polygonal intervals
     in one flat array, chain c at ``flat[offsets[c]:offsets[c + 1]]``: chains
@@ -680,8 +709,7 @@ def _polygon_arrays(P: FinitePoset) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     Candidates go in blocks, each rung one numpy step of every live walk,
     and leave the walk when they fail.
     """
-    join = _join_table(P)
-    up = _cover_rows(P.up_adj)
+    join, up = _join_table(P), P.hasse()[0]
 
     def inside(rows, bound):  # the covers c <= bound
         return (rows >= 0) & (join.take(rows * P.n + bound) == bound)

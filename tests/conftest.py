@@ -18,7 +18,11 @@ in ``posets`` replaced, with the certificate on the meet walk too, which
 ``oracle_join_witness`` names the pair that a failed join certificate
 names, by testing each pair for a least upper bound.
 ``semidistributive_half`` is the triple scan over the join and meet tables
-that the kappa route to semidistributivity replaced, and
+that the kappa route to semidistributivity replaced, ``oracle_kappa`` the
+scan of every element of the set for its one maximal element, which kappa
+by topological position in ``posets`` replaced, ``oracle_trim_witness`` the
+trim check's witness by that scan and the full-matrix left-modularity test,
+and
 ``oracle_left_modular_test`` the full-matrix left-modularity test, over
 every pair y < z, that the test on covers replaced.  ``is_isomorphic`` is
 a backtracking isomorphism search for small posets, which the Galois check
@@ -41,6 +45,9 @@ tables, where ``galois`` now tests covers and reads the up-sets alone.
 ``oracle_same_support_detail`` is the same-support check class by class,
 by the definitions of an order, a lattice and distributivity on each
 class's own matrix, with no verdict shared between classes.
+``oracle_hochschild_witness`` is the Hochschild check's witness by the
+definition of a triword and the componentwise order, over the covers of
+``upper_covers``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 import numpy as np
@@ -394,6 +401,34 @@ def oracle_left_modular_test(P: FinitePoset):
     return test
 
 
+def oracle_kappa(P: FinitePoset, j: int, dual: bool = False) -> Optional[int]:
+    """kappa(j), the greatest element above the lower cover of j and not
+    above j, as the one maximal element of that set, by a test of every
+    element of it; with ``dual``, the dual kappa of a meet-irreducible j."""
+    up, (cover,) = (P.down, P.up_adj[j]) if dual else (P.up, P.down_adj[j])
+    excluded = up[cover] & ~up[j]
+    tops = [p for p in _bits(excluded) if up[p] & excluded == 1 << p]
+    return tops[0] if len(tops) == 1 else None
+
+
+def oracle_trim_witness(family: LatticeFamily, chain, kappa=oracle_kappa) -> Optional[list[str]]:
+    """The witness of ``lattice.semidistributive_trim`` with ``kappa`` (the
+    dual kappa on ``dual=True``), scanned in its order: the first
+    join-irreducible without kappa, the first meet-irreducible without the
+    dual kappa, the first step of ``chain`` that is not a cover, the first
+    element of ``chain`` that the full-matrix test finds not left modular."""
+    P, ws = family.poset, family.words
+    for tag, dual, irreducibles in (("no kappa", False, join_irreducibles), ("no dual kappa", True, meet_irreducibles)):
+        for j in irreducibles(P):
+            if kappa(P, j, dual) is None:
+                return [tag, str(ws[j])]
+    for a, b in zip(chain, chain[1:]):
+        if b not in P.up_adj[a]:
+            return ["not a cover", str(ws[a]), str(ws[b])]
+    left_modular = oracle_left_modular_test(P)
+    return next((["not left modular", str(ws[x])] for x in chain if not left_modular(x)), None)
+
+
 def semidistributive_half(op: np.ndarray, dual_op: np.ndarray) -> bool:
     """p*q = p*r implies p*(q dual r) = p*q, for every p, q, r.
 
@@ -719,6 +754,32 @@ def oracle_same_support_detail(family: LatticeFamily) -> dict:
         if len(ids) != math.comb(size, len(xsupp)) or not _is_distributive_lattice(leq):
             return {"witness": [str(family.words[ids[0]])]}
     return {}
+
+
+def oracle_hochschild_witness(family: LatticeFamily, encode) -> Optional[str]:
+    """The first word whose image under ``encode`` repeats an earlier image
+    or is no triword (no leading 2, no 1 after a 0) of length m + 1, else the
+    first word whose upper covers, by ``upper_covers``, are not sent onto the
+    covers of its image in the componentwise order; None if there is none."""
+    n, ws = family.m + 1, family.words
+    tris = [t for t in product((0, 1, 2), repeat=n) if t[0] != 2 and (0, 1) not in combinations(t, 2)]
+    images = [encode(u, n).entries for u in ws]
+    for i, image in enumerate(images):
+        if image not in tris or image in images[:i]:
+            return str(ws[i])
+
+    def below(s, t):
+        return all(a <= b for a, b in zip(s, t))
+
+    def covers(t):
+        above = [s for s in tris if s != t and below(t, s)]
+        return {s for s in above if not any(r != s and below(r, s) for r in above)}
+
+    index = {u: i for i, u in enumerate(ws)}
+    return next(
+        (str(u) for u, image in zip(ws, images) if {images[index[v]] for v, _ in upper_covers(u)} != covers(image)),
+        None,
+    )
 
 
 @st.composite

@@ -18,7 +18,10 @@ from bubblelattice.bubble import build_bubble_lattice
 from bubblelattice.cli import main
 
 from conftest import (
+    oracle_hochschild_witness,
+    oracle_leq_bubble,
     oracle_same_support_detail,
+    oracle_trim_witness,
     oracle_verify_cu_labeling,
     replace_everywhere,
     upper_covers,
@@ -146,10 +149,12 @@ def sigma_run_one_short(original):
 
 
 def kappa_without_lower_cover(original):
-    """kappa(j) as the greatest element not above j, whatever j's lower cover."""
+    """kappa(j) as the greatest element not above j, whatever j's lower cover
+    (the least element not below j, for the dual kappa)."""
 
-    def mutant(up, cover, j):
-        excluded = ((1 << len(up)) - 1) & ~up[j]
+    def mutant(P, j, dual=False):
+        up = P.down if dual else P.up
+        excluded = ((1 << P.n) - 1) & ~up[j]
         tops = [p for p in posets._bits(excluded) if up[p] & excluded == 1 << p]
         return tops[0] if len(tops) == 1 else None
 
@@ -395,6 +400,54 @@ def test_trim_check_runs_no_chain_search(monkeypatch, capsys):
     assert report["violations"] == ["lattice.semidistributive_trim"]
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("mutant", ["kappa_forgets_lower_cover", "extremal_chain_reversed"])
+def test_trim_witness_is_the_oracle_scan(mutant, m, n, monkeypatch, capsys):
+    """The faulty kappa fails at a join-irreducible and the reversed chain at
+    its first step; the check names what ``oracle_trim_witness`` names with
+    the same fault."""
+    family = build_bubble_lattice(m, n)
+    chain = [family.index(w) for w in bubble.extremal_chain_words(m, n)]
+    if mutant == "kappa_forgets_lower_cover":
+        expected = oracle_trim_witness(family, chain, kappa_without_lower_cover(None))
+        assert expected[0] == "no kappa"
+    else:
+        expected = oracle_trim_witness(family, chain[::-1])
+        assert expected == ["not a cover", *(str(family.words[i]) for i in chain[:-3:-1])]
+    target, make, _ = MUTANTS[mutant]
+    replace_everywhere(monkeypatch, target(), make(target()))
+    detail = check_detail(["check", str(m), str(n), "--suite", "lattice"], "lattice.semidistributive_trim", capsys)
+    kappa_fault = mutant == "kappa_forgets_lower_cover"
+    assert detail == {"semidistributive": not kappa_fault, "trim": kappa_fault, "witness": expected}
+
+
+def test_hochschild_witness_is_the_oracle_scan(monkeypatch, capsys):
+    family = build_bubble_lattice(3, 1)
+    fault = sigma_run_one_short(hochschild.sigma_tilde)
+    expected = oracle_hochschild_witness(family, fault)
+    replace_everywhere(monkeypatch, hochschild.sigma_tilde, fault)
+    detail = check_detail(["check", "3", "1", "--suite", "hochschild"], "hochschild.iso", capsys)
+    assert expected is not None and detail == {"n": 4, "triwords": 28, "witness": [expected]}
+
+
+def test_hochschild_witness_names_the_first_word_whose_covers_differ(monkeypatch, capsys):
+    """With the encodings of the bottom and the top exchanged, the encoding
+    is still a bijection onto the triwords, so the witness is the first word
+    whose upper covers are not sent onto its image's."""
+    family = build_bubble_lattice(3, 1)
+    original = hochschild.sigma_tilde
+    bottom, top = (family.words[i] for i in (family.poset.bottom(), family.poset.top()))
+
+    def ends_exchanged(u, n):
+        return original({bottom: top, top: bottom}.get(u, u), n)
+
+    expected = oracle_hochschild_witness(family, ends_exchanged)
+    replace_everywhere(monkeypatch, original, ends_exchanged)
+    detail = check_detail(["check", "3", "1", "--suite", "hochschild"], "hochschild.iso", capsys)
+    assert len({ends_exchanged(u, 4) for u in family.words}) == len(family.words)
+    assert expected is not None and detail == {"n": 4, "triwords": 28, "witness": [expected]}
+
+
 def check_detail(argv, check_id, capsys):
     assert main(argv) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
@@ -482,19 +535,22 @@ def test_yfill_closure_witness(monkeypatch, capsys):
     assert detail["witness"] == [str(first)] * 2
 
 
-def whole_matrix_yfill_witness(family, fault):
-    """The first broken law of the y_fill check on whole N x N matrices, as
-    ``check_yfill_closure`` computed it before its row blocks, with the fill
-    ``fault`` built word by word."""
-    rel = family.relation
-    fill = np.array([family.index(fault(u)) for u in family.words], dtype=np.intp)
-    full = np.array([len(u.ysupport) == family.n for u in family.words], dtype=bool)
-    own = np.arange(len(fill))
-    broken = (fill[fill] != fill) | ~rel[own, fill] | ((fill == own) != full)
-    bad = rel & ~rel[np.ix_(fill, fill)]
-    bad[own[broken], fill[broken]] = True
-    a, b = divmod(int(np.flatnonzero(bad)[0]), len(fill))
-    return [str(family.words[a]), str(family.words[b])]
+def oracle_yfill_witness(family, fault):
+    """The witness of the y_fill check by its rule, with the fill ``fault``
+    built word by word, the covers of ``upper_covers`` and <= by
+    ``oracle_leq_bubble``: the first pair, row-major, among (u, fill(u))
+    where u's own laws fail and the covers (u, v) with fill(u) not below
+    fill(v)."""
+    ws = family.words
+    index = {w: i for i, w in enumerate(ws)}
+    pairs = []
+    for u in ws:
+        f = fault(u)
+        if fault(f) != f or not oracle_leq_bubble(u, f) or (f == u) != (len(u.ysupport) == family.n):
+            pairs.append((index[u], index[f]))
+        pairs.extend((index[u], index[v]) for v, _ in upper_covers(u) if not oracle_leq_bubble(f, fault(v)))
+    a, b = min(pairs)
+    return [str(ws[a]), str(ws[b])]
 
 
 def y_fill_leftmost(u):
@@ -511,14 +567,34 @@ def y_fill_leftmost(u):
 @pytest.mark.parametrize("fault", [y_fill_leftmost, lambda u: u])
 @pytest.mark.parametrize("block", [1, 70, checks._ROW_BLOCK])
 def test_yfill_witness_is_the_first_broken_law(fault, block, monkeypatch):
-    """The row-blocked check names the first pair, row-major, of the whole
-    matrices, whatever the block."""
+    """The check names the pair that the oracle of its rule names, whatever
+    the row block of the checks that compare matrices."""
     replace_everywhere(monkeypatch, bubble.y_fill_ids, fill_ids_by(fault))
     monkeypatch.setattr(checks, "_ROW_BLOCK", block)
     family = build_bubble_lattice(2, 2)
     result = checks.check_yfill_closure(family)
     assert result.status == "fail"
-    assert result.detail == {"witness": whole_matrix_yfill_witness(family, fault)}
+    assert result.detail == {"witness": oracle_yfill_witness(family, fault)}
+
+
+def test_yfill_witness_is_a_cover_not_the_first_pair(monkeypatch):
+    """With the bottom's fill the top, a fill still extensive and idempotent,
+    monotone fails first, row-major over all pairs u <= v, at a pair that is
+    no cover; the check names a cover, by its rule."""
+    family = build_bubble_lattice(3, 2)
+    P, ws = family.poset, family.words
+    bottom, top = ws[P.bottom()], ws[P.top()]
+
+    def bottom_fill_is_the_top(u):
+        return top if u == bottom else words.y_fill(u)
+
+    fill = [ws.index(bottom_fill_is_the_top(u)) for u in ws]
+    first = next((a, b) for a in range(P.n) for b in range(P.n) if P.leq(a, b) and not P.leq(fill[a], fill[b]))
+    assert first[1] not in P.up_adj[first[0]]
+    expected = oracle_yfill_witness(family, bottom_fill_is_the_top)
+    assert expected != [str(ws[i]) for i in first]
+    replace_everywhere(monkeypatch, bubble.y_fill_ids, fill_ids_by(bottom_fill_is_the_top))
+    assert checks.check_yfill_closure(family).detail == {"witness": expected}
 
 
 def test_order_axioms_witness(monkeypatch, capsys):

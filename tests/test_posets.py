@@ -17,6 +17,7 @@ from bubblelattice import checks, posets
 from bubblelattice.bubble import build_bubble_lattice, extremal_chain_words
 from bubblelattice.errors import KappaMissing, NotALattice, NotJoinSemidistributive
 from bubblelattice.hochschild import hochschild_lattice
+from bubblelattice.labeling import build_label_poset, edge_labels, verify_cu_labeling
 from bubblelattice.posets import (
     FinitePoset,
     atoms,
@@ -47,6 +48,7 @@ from conftest import (
     oracle_join_witness,
     oracle_lattice_tables,
     oracle_lambda_jsd,
+    oracle_kappa,
     oracle_left_modular_test,
     oracle_polygonal_intervals,
     oracle_reduction,
@@ -170,6 +172,35 @@ def assert_kappa_halves_match_triple_scan(P):
     join, meet = lattice_tables(P)
     assert is_join_semidistributive(P) == semidistributive_half(join, meet)
     assert is_meet_semidistributive(P) == semidistributive_half(meet, join)
+
+
+def assert_kappa_is_the_scan(P):
+    """kappa at every join-irreducible and the dual kappa at every
+    meet-irreducible equal the scan of ``oracle_kappa``."""
+    for dual, irreducibles in ((False, join_irreducibles(P)), (True, meet_irreducibles(P))):
+        assert [posets._kappa(P, j, dual) for j in irreducibles] == [oracle_kappa(P, j, dual) for j in irreducibles]
+
+
+class TestKappaByPosition:
+    @pytest.mark.parametrize("m,n", splits(7))
+    def test_bubble(self, m, n, bubble):
+        assert_kappa_is_the_scan(bubble(m, n).poset)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hochschild(self, n):
+        assert_kappa_is_the_scan(hochschild_lattice(n)[1])
+
+    @given(closure_lattices())
+    @example(n5())
+    @example(one_sided())
+    @example(one_sided().dual())
+    def test_random_lattices(self, P):
+        assert_kappa_is_the_scan(P)
+
+    def test_m3_has_none(self):
+        P = m3()
+        assert_kappa_is_the_scan(P)
+        assert [posets._kappa(P, j) for j in (1, 2, 3)] == [None] * 3
 
 
 class TestSemidistributivity:
@@ -657,6 +688,43 @@ class TestEngineAgainstNaiveDefinitions:
                 for w in P.up_adj[v]:
                     stack.append((w, depth + 1))
         assert P.length() == best
+
+
+class TestHasse:
+    @given(random_poset())
+    @example((FinitePoset(0, []), []))
+    @example((FinitePoset(5, [(0, 3), (3, 4)]), None))  # 1 and 2 isolated
+    def test_arrays_are_the_cover_lists(self, data):
+        P, _ = data
+        for dual, adj in ((False, P.up_adj), (True, P.down_adj)):
+            rows, lows, highs = P.hasse(dual)
+            width = max(map(len, adj), default=0) or 1
+            assert rows.shape == (P.n, width) and rows.dtype == lows.dtype == highs.dtype == np.intp
+            assert rows.tolist() == [[*covers] + [-1] * (width - len(covers)) for covers in adj]
+            assert list(zip(lows.tolist(), highs.tolist())) == [(a, b) for a in range(P.n) for b in adj[a]]
+            assert not (rows.flags.writeable or lows.flags.writeable or highs.flags.writeable)
+            assert P.hasse(dual) is P.hasse(dual)
+        assert list(zip(*(a.tolist() for a in P.hasse()[1:]))) == P.edges()
+
+    def test_built_once_per_direction(self, monkeypatch):
+        """The tables, the polygons, the left-modularity test and the CU
+        check on a fresh poset all read one set of arrays per direction."""
+        family = build_bubble_lattice(3, 2)
+        P = FinitePoset(family.poset.n, family.poset.edges())
+        original, seen = FinitePoset.hasse, {False: [], True: []}
+
+        def recorded(self, dual=False):
+            arrays = original(self, dual)
+            if self is P and not any(arrays is other for other in seen[dual]):
+                seen[dual].append(arrays)
+            return arrays
+
+        monkeypatch.setattr(FinitePoset, "hasse", recorded)
+        lattice_tables(P)
+        posets._polygon_arrays(P)
+        list(map(posets._left_modular_test(P), range(P.n)))
+        assert verify_cu_labeling(P, edge_labels(family), build_label_poset(3, 2).leq).ok
+        assert [len(seen[False]), len(seen[True])] == [1, 1]
 
 
 class TestPolygons:
